@@ -13,12 +13,12 @@ import csv
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .data import NormStats, SplitSpec, TimeSeriesFrame, WindowDataset, fit_normalizer, load_csv, split
-from .errors import ConfigError, DimensionError, ScinetError
+from .errors import CheckpointError, ConfigError, DimensionError, ScinetError
 from .metrics import PEConfig, compute_metrics, pe_report, permutation_entropy
 from .model import ModelConfig, build_model
 from .train import TrainConfig, evaluate, fit, load_checkpoint, predict_windows, save_checkpoint
@@ -26,6 +26,8 @@ from .train import TrainConfig, evaluate, fit, load_checkpoint, predict_windows,
 SEED_ENV = "SCINET_SEED"
 ABLATION_VARIANTS = ("no_interlearn", "weight_share", "no_residual", "no_decoder")
 SCALES = ("normalized", "original")
+# the checkpoint extras `train` writes that eval, predict and pe --checkpoint read
+RESTORE_EXTRAS = ("norm_mean", "norm_std", "timestamp_column", "split")
 
 
 def _parse_bool(text: str) -> bool:
@@ -37,65 +39,39 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-@dataclass
+def _with_library_fields(cls):
+    """Make ``cls`` a dataclass that also has every ModelConfig and TrainConfig field it does
+    not declare, with its default; n_variates is left out, because the data decides it."""
+    for f in fields(ModelConfig) + fields(TrainConfig):
+        if f.name != "n_variates" and f.name not in cls.__annotations__:
+            cls.__annotations__[f.name] = f.type
+            setattr(cls, f.name, f.default)
+    return dataclass(cls)
+
+
+@_with_library_fields
 class RunConfig:
+    """Every configuration key: the keys the CLI owns and the defaults where it
+    differs from the library, then each ModelConfig and TrainConfig field
+    (``seed`` feeds both)."""
+
     data_path: str = ""
     timestamp_column: str = "date"
     split: str = "ratio:6,2,2"
     metrics_scale: str = "normalized"
+    checkpoint_path: str = "model.ckpt"
     look_back: int = 48
     horizon: int = 24
     levels: int = 3
-    stacks: int = 1
-    kernel_size: int = 5
-    hidden_ratio: int = 2
-    dropout: float = 0.5
-    leaky_slope: float = 0.01
-    sign: str = "add"
-    identity_init: bool = True
-    no_interlearn: bool = False
-    weight_share: bool = False
-    no_residual: bool = False
-    no_decoder: bool = False
-    epochs: int = 100
-    batch_size: int = 32
-    lr: float = 1e-3
-    lr_decay: float = 0.95
-    patience: int = 10
-    clip_norm: float = 5.0
-    seed: int = 42
-    checkpoint_path: str = "model.ckpt"
+
+    def _build(self, cls, **given):
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}, **given)
 
     def model_config(self, n_variates: int) -> ModelConfig:
-        return ModelConfig(
-            look_back=self.look_back,
-            horizon=self.horizon,
-            n_variates=n_variates,
-            levels=self.levels,
-            stacks=self.stacks,
-            kernel_size=self.kernel_size,
-            hidden_ratio=self.hidden_ratio,
-            dropout=self.dropout,
-            leaky_slope=self.leaky_slope,
-            sign=self.sign,
-            identity_init=self.identity_init,
-            no_interlearn=self.no_interlearn,
-            weight_share=self.weight_share,
-            no_residual=self.no_residual,
-            no_decoder=self.no_decoder,
-            seed=self.seed,
-        )
+        return self._build(ModelConfig, n_variates=n_variates)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            lr_decay=self.lr_decay,
-            patience=self.patience,
-            clip_norm=self.clip_norm,
-            seed=self.seed,
-        )
+        return self._build(TrainConfig)
 
     def canonical_lines(self) -> list[str]:
         return [f"{f.name}={getattr(self, f.name)}" for f in sorted(fields(self), key=lambda f: f.name)]
@@ -105,13 +81,8 @@ class RunConfig:
 
 
 _PARSERS = {str: str, int: int, float: float, bool: _parse_bool}
-_FIELD_TYPES = {"data_path": str, "timestamp_column": str, "split": str, "metrics_scale": str,
-                "look_back": int, "horizon": int, "levels": int, "stacks": int, "kernel_size": int,
-                "hidden_ratio": int, "dropout": float, "leaky_slope": float, "sign": str,
-                "identity_init": bool, "no_interlearn": bool, "weight_share": bool,
-                "no_residual": bool, "no_decoder": bool, "epochs": int, "batch_size": int,
-                "lr": float, "lr_decay": float, "patience": int, "clip_norm": float,
-                "seed": int, "checkpoint_path": str}
+# each key parses as the type of its default
+_KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def parse_kv_file(path: str) -> dict[str, str]:
@@ -160,7 +131,7 @@ def resolve_config(file_kv: dict[str, str], overrides: dict[str, str], env: dict
     env = os.environ if env is None else env
     cfg = RunConfig()
     if SEED_ENV in env:
-        cfg.seed = _assign(cfg, "seed", env[SEED_ENV], source=f"environment {SEED_ENV}")
+        _assign(cfg, "seed", env[SEED_ENV], source=f"environment {SEED_ENV}")
     for source, table in (("config file", file_kv), ("command line", overrides)):
         for key, value in table.items():
             _assign(cfg, key, value, source=source)
@@ -171,16 +142,14 @@ def resolve_config(file_kv: dict[str, str], overrides: dict[str, str], env: dict
 
 
 def _assign(cfg: RunConfig, key: str, value: str, source: str):
-    if key not in _FIELD_TYPES:
+    if key not in _KEY_TYPES:
         raise ConfigError(f"unknown configuration key {key!r} (from {source})")
     try:
-        parsed = _PARSERS[_FIELD_TYPES[key]](value)
+        setattr(cfg, key, _PARSERS[_KEY_TYPES[key]](value))
     except ValueError:
         raise ConfigError(
-            f"bad value for {key!r} (from {source}): {value!r} is not a {_FIELD_TYPES[key].__name__}"
+            f"bad value for {key!r} (from {source}): {value!r} is not a {_KEY_TYPES[key].__name__}"
         ) from None
-    setattr(cfg, key, parsed)
-    return parsed
 
 
 def _timestamp_column(name: str) -> str | None:
@@ -196,33 +165,25 @@ def _load_frame(path: str, timestamp_column: str) -> TimeSeriesFrame:
     return frame
 
 
-def _prepared_datasets(cfg: RunConfig):
+def _train_once(cfg: RunConfig, log=None):
     frame = _load_frame(cfg.data_path, cfg.timestamp_column)
     # surface hyperparameter contradictions before any windowing complaints
-    cfg.model_config(frame.n_variates).validate()
+    model_cfg = cfg.model_config(frame.n_variates)
+    model_cfg.validate()
     ranges = split(frame, SplitSpec.parse(cfg.split))
     stats = fit_normalizer(frame, ranges[0])
     values = stats.apply(frame.values)
-    datasets = tuple(WindowDataset(values, r, cfg.look_back, cfg.horizon) for r in ranges)
-    return frame, stats, values, datasets
-
-
-def _train_once(cfg: RunConfig, log=None):
-    frame, stats, values, (train_ds, val_ds, test_ds) = _prepared_datasets(cfg)
-    model = build_model(cfg.model_config(frame.n_variates))
+    train_ds, val_ds, test_ds = (WindowDataset(values, r, cfg.look_back, cfg.horizon) for r in ranges)
+    model = build_model(model_cfg)
     result = fit(model, train_ds, val_ds, cfg.train_config(), log=log)
     return frame, stats, model, result, (train_ds, val_ds, test_ds)
 
 
-def _scaled_metrics(pred: np.ndarray, truth: np.ndarray, stats: NormStats, scale: str):
+def _in_scale(stats: NormStats, scale: str, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(windows, variates, horizon) arrays of normalized values, moved to ``scale``."""
     if scale == "original":
-        pred = _invert_windows(stats, pred)
-        truth = _invert_windows(stats, truth)
-    return compute_metrics(pred, truth)
-
-
-def _invert_windows(stats: NormStats, arr: np.ndarray) -> np.ndarray:
-    return arr * stats.std[None, :, None] + stats.mean[None, :, None]
+        return tuple(a * stats.std[None, :, None] + stats.mean[None, :, None] for a in arrays)
+    return arrays
 
 
 def cmd_train(args, overrides: dict[str, str]) -> int:
@@ -230,7 +191,7 @@ def cmd_train(args, overrides: dict[str, str]) -> int:
     if not cfg.data_path:
         raise ConfigError("data_path is required for training")
     frame, stats, model, result, (train_ds, val_ds, test_ds) = _train_once(cfg, log=print)
-    test_report = _scaled_metrics(*_predict(model, test_ds), stats, cfg.metrics_scale)
+    test_report = compute_metrics(*_in_scale(stats, cfg.metrics_scale, *predict_windows(model, test_ds)))
     extras = {
         "seed": cfg.seed,
         "config_hash": cfg.config_hash(),
@@ -252,29 +213,28 @@ def cmd_train(args, overrides: dict[str, str]) -> int:
     return 0
 
 
-def _predict(model, dataset):
-    return predict_windows(model, dataset)
-
-
-def _restore(checkpoint: str):
+def _restore(checkpoint: str, data: str):
+    """The checkpoint's model and extras, and the dataset normalized with its statistics."""
     model, manifest = load_checkpoint(checkpoint)
     extras = manifest["extras"]
+    missing = [key for key in RESTORE_EXTRAS if key not in extras]
+    if missing:
+        raise CheckpointError(f"checkpoint {checkpoint} lacks the training extras {', '.join(missing)}")
     stats = NormStats(
         mean=np.asarray(extras["norm_mean"], dtype=np.float64),
         std=np.asarray(extras["norm_std"], dtype=np.float64),
     )
-    return model, manifest, extras, stats
+    frame = _load_frame(data, extras["timestamp_column"])
+    return model, extras, stats, frame, stats.apply(frame.values)
 
 
 def cmd_eval(args) -> int:
-    model, manifest, extras, stats = _restore(args.checkpoint)
-    frame = _load_frame(args.data, extras["timestamp_column"])
+    model, extras, stats, frame, values = _restore(args.checkpoint, args.data)
     ranges = split(frame, SplitSpec.parse(extras["split"]))
-    values = stats.apply(frame.values)
     cfg = model.config
     test_ds = WindowDataset(values, ranges[2], cfg.look_back, cfg.horizon)
     scale = args.scale or extras.get("metrics_scale", "normalized")
-    report = _scaled_metrics(*_predict(model, test_ds), stats, scale)
+    report = compute_metrics(*_in_scale(stats, scale, *predict_windows(model, test_ds)))
     lines = [f"scale={scale}"] + report.as_lines()
     for line in lines:
         print(line)
@@ -284,16 +244,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, manifest, extras, stats = _restore(args.checkpoint)
-    frame = _load_frame(args.data, extras["timestamp_column"])
-    values = stats.apply(frame.values)
+    model, extras, stats, frame, values = _restore(args.checkpoint, args.data)
     cfg = model.config
     dataset = WindowDataset(values, (0, frame.length), cfg.look_back, cfg.horizon)
-    pred, truth = _predict(model, dataset)
     scale = args.scale or extras.get("metrics_scale", "normalized")
-    if scale == "original":
-        pred = _invert_windows(stats, pred)
-        truth = _invert_windows(stats, truth)
+    pred, truth = _in_scale(stats, scale, *predict_windows(model, dataset))
     with open(args.emit, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window_id", "step", "variate", "truth", "prediction"])
@@ -308,9 +263,7 @@ def cmd_predict(args) -> int:
 def cmd_pe(args) -> int:
     pe_cfg = PEConfig(order=args.order, lag=args.lag)
     if args.checkpoint:
-        model, manifest, extras, stats = _restore(args.checkpoint)
-        frame = _load_frame(args.data, extras["timestamp_column"])
-        values = stats.apply(frame.values)
+        model, extras, stats, frame, values = _restore(args.checkpoint, args.data)
         report = pe_report(model, values, pe_cfg)
         for line in report.as_lines(frame.variate_names):
             print(line)
@@ -329,14 +282,12 @@ def cmd_ablate(args, overrides: dict[str, str]) -> int:
     base_cfg = resolve_config(parse_kv_file(args.config), overrides)
     if not base_cfg.data_path:
         raise ConfigError("data_path is required for ablation")
-    variant_over = dict(overrides)
-    variant_over[args.variant] = "true"
-    variant_cfg = resolve_config(parse_kv_file(args.config), variant_over)
+    variant_cfg = replace(base_cfg, **{args.variant: True})
     rows = []
     for label, cfg in (("base", base_cfg), (args.variant, variant_cfg)):
         frame, stats, model, result, (train_ds, val_ds, test_ds) = _train_once(cfg)
         val_report = evaluate(model, val_ds)
-        test_report = _scaled_metrics(*_predict(model, test_ds), stats, cfg.metrics_scale)
+        test_report = compute_metrics(*_in_scale(stats, cfg.metrics_scale, *predict_windows(model, test_ds)))
         rows.append((label, result.best_val, val_report.mse, test_report))
         print(f"{label}: best_val_loss={result.best_val:.6f} val_mse={val_report.mse:.6f} "
               f"test_mse={test_report.mse:.6f} test_mae={test_report.mae:.6f}")
@@ -399,10 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DimensionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ScinetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ScinetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

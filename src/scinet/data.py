@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import calendar
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -153,9 +155,10 @@ def split(frame: TimeSeriesFrame, spec: SplitSpec) -> tuple[tuple[int, int], tup
         b1 = _add_months(stamps[0], spec.parts[0])
         b2 = _add_months(stamps[0], spec.parts[0] + spec.parts[1])
         b3 = _add_months(stamps[0], sum(spec.parts))
-        n_train = _count_before(stamps, b1)
-        n_val = _count_before(stamps, b2) - n_train
-        n_test = min(_count_before(stamps, b3), n) - n_train - n_val
+        # rows before each boundary; stamps are strictly increasing
+        n_train = bisect_left(stamps, b1)
+        n_val = bisect_left(stamps, b2) - n_train
+        n_test = bisect_left(stamps, b3) - n_train - n_val
     for name, count in (("train", n_train), ("validation", n_val), ("test", n_test)):
         if count <= 0:
             raise ConfigError(f"{name} segment is empty under split {spec} with {n} rows")
@@ -174,24 +177,8 @@ def _add_months(stamp: datetime, months: int) -> datetime:
     year = stamp.year + month0 // 12
     month = month0 % 12 + 1
     # clamp the day for shorter target months
-    day = min(stamp.day, _days_in_month(year, month))
+    day = min(stamp.day, calendar.monthrange(year, month)[1])
     return stamp.replace(year=year, month=month, day=day)
-
-
-def _days_in_month(year: int, month: int) -> int:
-    if month == 12:
-        return 31
-    return (datetime(year, month + 1, 1) - datetime(year, month, 1)).days
-
-
-def _count_before(stamps: list[datetime], bound: datetime) -> int:
-    count = 0
-    for s in stamps:
-        if s < bound:
-            count += 1
-        else:
-            break
-    return count
 
 
 @dataclass

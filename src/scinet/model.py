@@ -12,7 +12,7 @@ recent input steps together with the previous stack's output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,9 +84,6 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.sign not in SIGNS:
             raise ConfigError(f"sign must be one of {SIGNS}, got {self.sign!r}")
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def split_even_odd(x: Tensor) -> tuple[Tensor, Tensor]:

@@ -8,10 +8,11 @@ identically seeded runs write byte-identical checkpoints.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,9 +44,6 @@ class TrainConfig:
             raise ConfigError(f"patience must be at least 1, got {self.patience}")
         if self.clip_norm < 0:
             raise ConfigError(f"clip_norm must be non-negative, got {self.clip_norm}")
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class Adam:
@@ -100,6 +98,21 @@ class EpochStats:
     components: list[float]
 
 
+def _window_mean(batches, what: str) -> EpochStats:
+    """Window-weighted mean losses over ``batches`` of (window count, total loss, per-stack loss tensors)."""
+    n_seen = 0
+    total_sum = 0.0
+    comp_sums: list[float] = []
+    for b, total, components in batches:
+        n_seen += b
+        total_sum += total * b
+        weighted = [c.item() * b for c in components]
+        comp_sums = [s + w for s, w in zip(comp_sums, weighted)] if comp_sums else weighted
+    if n_seen == 0:
+        raise ConfigError(f"{what} dataset produced no batches")
+    return EpochStats(total=total_sum / n_seen, components=[s / n_seen for s in comp_sums])
+
+
 def train_epoch(
     model: StackedSCINet,
     dataset: WindowDataset,
@@ -109,50 +122,32 @@ def train_epoch(
 ) -> EpochStats:
     """One pass over the shuffled training windows; returns window-weighted mean losses."""
     shuffle_seed = int(rng.integers(0, 2**63 - 1))
-    total_sum = 0.0
-    comp_sums: list[float] | None = None
-    n_seen = 0
-    for index, (xb, yb) in enumerate(batch_iter(dataset, batch_size, shuffle=True, seed=shuffle_seed)):
-        with Tape() as tape:
-            outputs = model.forward(xb, training=True, rng=rng)
-            total, components = compute_loss(outputs, yb)
-        value = total.item()
-        if not math.isfinite(value):
-            biggest = max(float(np.max(np.abs(p.data))) for p in model.parameters())
-            raise NumericError(
-                f"non-finite training loss at batch {index}; largest parameter magnitude {biggest:.3e}"
-            )
-        backward(total, tape)
-        optimizer.step()
-        b = xb.shape[0]
-        n_seen += b
-        total_sum += value * b
-        if comp_sums is None:
-            comp_sums = [c.item() * b for c in components]
-        else:
-            for i, c in enumerate(components):
-                comp_sums[i] += c.item() * b
-    if n_seen == 0:
-        raise ConfigError("training dataset produced no batches")
-    return EpochStats(total=total_sum / n_seen, components=[s / n_seen for s in comp_sums])
+
+    def steps():
+        for index, (xb, yb) in enumerate(batch_iter(dataset, batch_size, shuffle=True, seed=shuffle_seed)):
+            with Tape() as tape:
+                outputs = model.forward(xb, training=True, rng=rng)
+                total, components = compute_loss(outputs, yb)
+            value = total.item()
+            if not math.isfinite(value):
+                biggest = max(float(np.max(np.abs(p.data))) for p in model.parameters())
+                raise NumericError(
+                    f"non-finite training loss at batch {index}; largest parameter magnitude {biggest:.3e}"
+                )
+            backward(total, tape)
+            optimizer.step()
+            yield xb.shape[0], value, components
+
+    return _window_mean(steps(), "training")
 
 
 def validation_loss(model: StackedSCINet, dataset: WindowDataset, batch_size: int) -> EpochStats:
-    total_sum = 0.0
-    comp_sums: list[float] | None = None
-    n_seen = 0
-    for xb, yb in batch_iter(dataset, batch_size, shuffle=False):
-        outputs = model.forward(xb, training=False)
-        total, components = compute_loss(outputs, yb)
-        b = xb.shape[0]
-        n_seen += b
-        total_sum += total.item() * b
-        if comp_sums is None:
-            comp_sums = [c.item() * b for c in components]
-        else:
-            for i, c in enumerate(components):
-                comp_sums[i] += c.item() * b
-    return EpochStats(total=total_sum / n_seen, components=[s / n_seen for s in comp_sums])
+    def batches():
+        for xb, yb in batch_iter(dataset, batch_size, shuffle=False):
+            total, components = compute_loss(model.forward(xb, training=False), yb)
+            yield xb.shape[0], total.item(), components
+
+    return _window_mean(batches(), "validation")
 
 
 def predict_windows(model: StackedSCINet, dataset: WindowDataset, batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
@@ -246,11 +241,13 @@ def save_checkpoint(path: str, model: StackedSCINet, extras: dict | None = None)
 
     ``extras`` lands verbatim in the manifest (json-serializable values only);
     callers use it for normalization stats, training history, and the like.
+    The bytes go to ``<path>.tmp``, are synced, and replace ``path`` in one
+    rename, so a save that fails part-way leaves the previous file intact.
     """
     named = model.named_parameters()
     manifest = {
         "format_version": CHECKPOINT_VERSION,
-        "model_config": model.config.as_dict(),
+        "model_config": asdict(model.config),
         "extras": extras or {},
         "tensors": [
             {"name": name, "shape": list(t.shape), "byte_length": t.size * 8} for name, t in named
@@ -260,11 +257,20 @@ def save_checkpoint(path: str, model: StackedSCINet, extras: dict | None = None)
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(b"\n\x00")
-        for _, t in named:
-            fh.write(t.data.astype("<f8", copy=False).tobytes(order="C"))
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.write(b"\n\x00")
+            for _, t in named:
+                fh.write(t.data.astype("<f8", copy=False).tobytes(order="C"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[StackedSCINet, dict]:

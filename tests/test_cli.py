@@ -1,4 +1,5 @@
 import csv
+from dataclasses import fields
 from datetime import datetime, timedelta
 from types import SimpleNamespace
 
@@ -15,7 +16,8 @@ from scinet.cli import (
 )
 from scinet.data import load_csv, synthetic_frame, write_csv
 from scinet.errors import ConfigError
-from scinet.train import load_checkpoint
+from scinet.model import ModelConfig
+from scinet.train import TrainConfig, load_checkpoint, save_checkpoint
 
 
 def write_dataset(path, n=120, d=2, seed=0):
@@ -133,6 +135,17 @@ class TestResolveConfig:
         b = resolve_config({"lr": "0.002"}, {}, env={})
         assert a.config_hash() != b.config_hash()
         assert a.config_hash() == resolve_config({}, {}, env={}).config_hash()
+
+    def test_default_config_hash_is_pinned(self):
+        # checkpoints record this hash, so the default configuration must not drift
+        assert resolve_config({}, {}, env={}).config_hash() == (
+            "6ca40b76bf47bc62942dec7da6196452ba5567b51e2a5d296388eb49db216f11"
+        )
+
+    def test_keys_are_the_library_fields_plus_the_cli_keys(self):
+        library = {f.name for f in fields(ModelConfig) + fields(TrainConfig)} - {"n_variates"}
+        cli_keys = {"data_path", "timestamp_column", "split", "metrics_scale", "checkpoint_path"}
+        assert {f.name for f in fields(RunConfig)} == library | cli_keys
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +306,23 @@ class TestPeCommand:
         rc = main(["pe", str(data), "--order", "12"])
         assert rc == 2
         assert "too short" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "pe"])
+def test_checkpoint_without_training_extras_exits_1(trained, tmp_path, capsys, command):
+    bare = tmp_path / "bare.ckpt"
+    save_checkpoint(bare, load_checkpoint(trained.ckpt)[0])
+    argv = {
+        "eval": ["eval", str(bare), str(trained.data), "--out", str(tmp_path / "r.txt")],
+        "predict": ["predict", str(bare), str(trained.data), "--emit", str(tmp_path / "p.csv")],
+        "pe": ["pe", str(trained.data), "--checkpoint", str(bare), "--order", "3"],
+    }[command]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert all(key in captured.err for key in ("norm_mean", "norm_std", "timestamp_column", "split"))
 
 
 class TestAblateCommand:

@@ -285,6 +285,22 @@ class TestCheckpoint:
         save_checkpoint(p2, model, {"seed": 1})
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        class Unwritable(np.ndarray):
+            def tobytes(self, order="C"):
+                raise OSError("disk full")
+
+        model = self.fresh_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, {"seed": 1})
+        good = path.read_bytes()
+        param = model.parameters()[-1]
+        param.data = param.data.view(Unwritable)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model, {"seed": 2})
+        assert path.read_bytes() == good
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(tmp_path / "absent.ckpt")
