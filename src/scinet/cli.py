@@ -182,7 +182,7 @@ def _train_once(cfg: RunConfig, log=None):
 def _in_scale(stats: NormStats, scale: str, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """(windows, variates, horizon) arrays of normalized values, moved to ``scale``."""
     if scale == "original":
-        return tuple(a * stats.std[None, :, None] + stats.mean[None, :, None] for a in arrays)
+        return tuple(stats.invert(a.swapaxes(1, 2)).swapaxes(1, 2) for a in arrays)
     return arrays
 
 
@@ -225,6 +225,8 @@ def _restore(checkpoint: str, data: str):
         std=np.asarray(extras["norm_std"], dtype=np.float64),
     )
     frame = _load_frame(data, extras["timestamp_column"])
+    if frame.n_variates != model.config.n_variates:
+        raise ConfigError(f"checkpoint {checkpoint} has {model.config.n_variates} variates, {data} has {frame.n_variates}")
     return model, extras, stats, frame, stats.apply(frame.values)
 
 

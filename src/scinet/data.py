@@ -36,7 +36,7 @@ class TimeSeriesFrame:
 def load_csv(path: str, timestamp_column: str | None = "date") -> TimeSeriesFrame:
     """Read a headered CSV of float columns, keeping one column as timestamps.
 
-    A row containing NaN in any variate is dropped and counted in
+    A row containing NaN or infinity in any variate is dropped and counted in
     ``rejected_rows``; an unparseable cell is an error naming its row and
     column. ``timestamp_column=None`` treats every column as a variate.
     """

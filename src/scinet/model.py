@@ -272,15 +272,7 @@ class StackedSCINet:
         return rep
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        seen: set[int] = set()
-        out: list[tuple[str, Tensor]] = []
-        for tree in self.trees:
-            for name, t in tree.named_parameters():
-                if id(t) in seen:
-                    continue
-                seen.add(id(t))
-                out.append((name, t))
-        return out
+        return [pair for tree in self.trees for pair in tree.named_parameters()]
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]

@@ -23,6 +23,7 @@ from .data import WindowDataset, batch_iter
 from .tensor import Tape, Tensor, backward
 
 CHECKPOINT_VERSION = 1
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 @dataclass
@@ -49,46 +50,46 @@ class TrainConfig:
 class Adam:
     """Adam with bias correction and optional global-norm gradient clipping.
 
-    Parameters with no accumulated gradient are treated as having zero
-    gradient. ``step`` consumes and clears every ``grad``.
+    The parameters are packed, in the order given, into one float64 vector
+    ``flat`` and each ``data`` becomes a view of it, so rebinding a ``data``
+    afterwards detaches that parameter. A missing ``grad`` counts as zero;
+    ``step`` consumes and clears every ``grad``.
     """
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        clip_norm: float = 0.0,
-    ):
+    def __init__(self, params: list[Tensor], lr: float, clip_norm: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.clip_norm = clip_norm
         self.step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self.flat = np.concatenate([p.data.ravel() for p in self.params])
+        bounds = np.cumsum([0] + [p.size for p in self.params]).tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        for p, (start, stop) in zip(self.params, spans):
+            p.data = self.flat[start:stop].reshape(p.shape)
+        self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+        self._grad, self._work = np.empty_like(self.flat), np.empty_like(self.flat)
+        # per-parameter sums of squares, added in order: one whole-vector or reduceat sum moves the clip's bits
+        self._work_parts = [self._work[start:stop] for start, stop in spans]
 
     def step(self) -> None:
-        grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in self.params]
+        g, work = self._grad, self._work
+        np.concatenate([np.zeros(p.size) if p.grad is None else p.grad.ravel() for p in self.params], out=g)
         if self.clip_norm > 0:
-            total = math.sqrt(sum(float((g * g).sum()) for g in grads))
+            np.multiply(g, g, out=work)
+            total = math.sqrt(sum(float(part.sum()) for part in self._work_parts))
             if total > self.clip_norm:
-                scale = self.clip_norm / total
-                # grads may alias each other; scale by rebinding, never in place
-                grads = [g * scale for g in grads]
+                g *= self.clip_norm / total
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self._m[i] / bc1
-            v_hat = self._v[i] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
+        self.m *= BETA1
+        self.m += np.multiply(1.0 - BETA1, g, out=work)
+        self.v *= BETA2
+        self.v += np.multiply(1.0 - BETA2, np.multiply(g, g, out=work), out=work)
+        update = np.multiply(self.lr, np.divide(self.m, bc1, out=work), out=work)  # lr * m_hat
+        denom = np.add(np.sqrt(np.divide(self.v, bc2, out=g), out=g), EPS, out=g)  # sqrt(v_hat) + eps
+        self.flat -= np.divide(update, denom, out=work)
+        for p in self.params:
             p.grad = None
 
 
@@ -130,7 +131,7 @@ def train_epoch(
                 total, components = compute_loss(outputs, yb)
             value = total.item()
             if not math.isfinite(value):
-                biggest = max(float(np.max(np.abs(p.data))) for p in model.parameters())
+                biggest = float(np.max(np.abs(optimizer.flat)))
                 raise NumericError(
                     f"non-finite training loss at batch {index}; largest parameter magnitude {biggest:.3e}"
                 )
@@ -201,7 +202,7 @@ def fit(
     val_values: list[float] = []
     best_val = math.inf
     best_epoch = -1
-    best_params: list[np.ndarray] | None = None
+    best_params: np.ndarray | None = None
     stopped = False
     for epoch in range(1, cfg.epochs + 1):
         stats = train_epoch(model, train_ds, optimizer, cfg.batch_size, rng)
@@ -225,14 +226,13 @@ def fit(
         if val.total < best_val:
             best_val = val.total
             best_epoch = epoch
-            best_params = [p.data.copy() for p in model.parameters()]
+            best_params = optimizer.flat.copy()
         if should_stop(val_values, cfg.patience):
             stopped = True
             break
         optimizer.lr *= cfg.lr_decay
     if best_params is not None:
-        for p, saved in zip(model.parameters(), best_params):
-            p.data = saved
+        optimizer.flat[:] = best_params
     return FitResult(history=history, best_epoch=best_epoch, best_val=best_val, stopped_early=stopped)
 
 

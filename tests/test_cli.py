@@ -325,6 +325,23 @@ def test_checkpoint_without_training_extras_exits_1(trained, tmp_path, capsys, c
     assert all(key in captured.err for key in ("norm_mean", "norm_std", "timestamp_column", "split"))
 
 
+
+@pytest.mark.parametrize("command", ["eval", "predict", "pe"])
+def test_csv_with_another_variate_count_exits_2(trained, tmp_path, capsys, command):
+    wide = tmp_path / "wide.csv"
+    write_dataset(wide, d=3)
+    argv = {
+        "eval": ["eval", str(trained.ckpt), str(wide), "--out", str(tmp_path / "r.txt")],
+        "predict": ["predict", str(trained.ckpt), str(wide), "--emit", str(tmp_path / "p.csv")],
+        "pe": ["pe", str(wide), "--checkpoint", str(trained.ckpt), "--order", "3"],
+    }[command]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "2 variates" in captured.err and "has 3" in captured.err
+
 class TestAblateCommand:
     def test_smoke_and_verdict_line(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -295,6 +295,15 @@ class TestStacking:
         assert n_full - n_dec == 4 * (n_shared - n_dec)
 
 
+    @pytest.mark.parametrize("switch", ["no_interlearn", "weight_share", "no_residual", "no_decoder"])
+    def test_each_parameter_listed_once(self, switch):
+        # Adam packs parameters into one vector, so a tensor listed twice would detach
+        model = build_model(config(stacks=2, **{switch: True}))
+        ids = [id(p) for p in model.parameters()]
+        assert len(ids) == len(set(ids))
+        names = [n for n, _ in model.named_parameters()]
+        assert len(names) == len(set(names))
+
 class TestLossAndGradients:
     def test_single_stack_worked_example(self):
         # prediction [2, 4] against truth [1, 2]: mean(|1|, |2|) = 1.5

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,73 @@ class TestAdam:
         npt.assert_allclose(p2.data, q2.data, rtol=1e-12)
 
 
+class ReferenceAdam:
+    """The per-tensor Adam the flat vector replaced, kept as the bitwise reference."""
+
+    def __init__(self, params, lr, clip_norm=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr, self.clip_norm = lr, clip_norm
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.step_count = 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in self.params]
+        if self.clip_norm > 0:
+            total = math.sqrt(sum(float((g * g).sum()) for g in grads))
+            if total > self.clip_norm:
+                scale = self.clip_norm / total
+                grads = [g * scale for g in grads]
+        self.step_count += 1
+        bc1 = 1.0 - self.beta1 ** self.step_count
+        bc2 = 1.0 - self.beta2 ** self.step_count
+        for i, (p, g) in enumerate(zip(self.params, grads)):
+            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
+            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
+            m_hat = self._m[i] / bc1
+            v_hat = self._v[i] / bc2
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.grad = None
+
+
+class TestFlatAdam:
+    # 0.05 clips every step, 0 disables clipping, 1e9 never fires
+    @pytest.mark.parametrize("clip_norm", [0.05, 0.0, 1e9])
+    def test_matches_per_tensor_reference_bitwise(self, clip_norm):
+        cfg = small_config(levels=2, stacks=2, n_variates=2, hidden_ratio=2)
+        ref_model, flat_model = build_model(cfg), build_model(cfg)
+        ref = ReferenceAdam(ref_model.parameters(), lr=1e-2, clip_norm=clip_norm)
+        flat = Adam(flat_model.parameters(), lr=1e-2, clip_norm=clip_norm)
+        shapes = [p.shape for p in flat_model.parameters()]
+        rng = np.random.default_rng(3)
+        for step in range(5):
+            for i, (a, b) in enumerate(zip(ref_model.parameters(), flat_model.parameters())):
+                if (i + step) % 4 == 0:
+                    continue  # some grads stay None
+                a.grad = rng.normal(scale=2.0, size=a.shape)
+                b.grad = a.grad.copy()
+            ref.step()
+            flat.step()
+        for a, b in zip(ref_model.parameters(), flat_model.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+            assert b.grad is None
+        for p, shape in zip(flat_model.parameters(), shapes):
+            assert np.shares_memory(p.data, flat.flat)
+            assert p.shape == shape
+
+    def test_clears_grads_and_packs_in_order(self):
+        p = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        q = Tensor(np.array([[3.0], [4.0]]), requires_grad=True)
+        p.grad = np.ones((1, 2))
+        opt = Adam([p, q], lr=0.0)
+        npt.assert_array_equal(opt.flat, [1.0, 2.0, 3.0, 4.0])
+        opt.step()
+        assert p.grad is None and q.grad is None
+        opt.flat[:] = [5.0, 6.0, 7.0, 8.0]
+        npt.assert_array_equal(p.data, [[5.0, 6.0]])
+        npt.assert_array_equal(q.data, [[7.0], [8.0]])
+
 class TestShouldStop:
     def test_empty_history_continues(self):
         assert not should_stop([], 3)
@@ -226,6 +294,8 @@ class TestFit:
         result = fit(model, train_ds, val_ds, cfg)
         after = validation_loss(model, val_ds, cfg.batch_size).total
         assert after == pytest.approx(result.best_val, rel=1e-12)
+        # restored in place: every parameter is still a view of one vector
+        assert len({id(p.data.base) for p in model.parameters()}) == 1
         assert result.best_val == min(r["val_total"] for r in result.history)
 
     def test_early_stop_on_flat_validation(self):
