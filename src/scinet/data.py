@@ -97,16 +97,16 @@ def _parses_as_float(cell: str) -> bool:
 
 
 def write_csv(frame: TimeSeriesFrame, path: str, timestamp_column: str = "date") -> None:
+    # csv writes a float as its repr, so a written series reads back bit for bit
+    header = frame.variate_names
+    rows = frame.values.tolist()
+    if frame.timestamps is not None:
+        header = [timestamp_column] + header
+        rows = [[ts] + row for ts, row in zip(frame.timestamps, rows)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if frame.timestamps is not None:
-            writer.writerow([timestamp_column] + frame.variate_names)
-            for ts, row in zip(frame.timestamps, frame.values):
-                writer.writerow([ts] + [repr(float(v)) for v in row])
-        else:
-            writer.writerow(frame.variate_names)
-            for row in frame.values:
-                writer.writerow([repr(float(v)) for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,8 @@ class WindowDataset:
 
     Window i uses rows [start+i, start+i+look_back) as input and the
     following ``horizon`` rows as target, stride 1, never crossing the
-    segment boundary.
+    segment boundary. The windows are a strided (window, variate, time) view
+    of the series, not a copy of it.
     """
 
     def __init__(self, values: np.ndarray, segment: tuple[int, int], look_back: int, horizon: int):
@@ -225,33 +226,23 @@ class WindowDataset:
             raise ConfigError(
                 f"segment of {stop - start} rows is shorter than look_back + horizon = {look_back + horizon}"
             )
-        self.values = values
-        self.start = start
         self.look_back = look_back
-        self.horizon = horizon
-        self.count = (stop - start) - look_back - horizon + 1
+        self.windows = np.lib.stride_tricks.sliding_window_view(values[start:stop], look_back + horizon, axis=0)
 
     def __len__(self) -> int:
-        return self.count
+        return self.windows.shape[0]
 
     def sample(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        if not 0 <= i < self.count:
-            raise ConfigError(f"window index {i} out of range [0, {self.count})")
-        s = self.start + i
-        x = self.values[s:s + self.look_back]
-        y = self.values[s + self.look_back:s + self.look_back + self.horizon]
-        return x, y
+        """Window i as (time, variate) input and target views."""
+        if not 0 <= i < len(self):
+            raise ConfigError(f"window index {i} out of range [0, {len(self)})")
+        rows = self.windows[i].T
+        return rows[:self.look_back], rows[self.look_back:]
 
     def gather(self, indices: np.ndarray) -> tuple[Tensor, Tensor]:
         """Assemble (batch, variates, time) input and target tensors."""
-        xs = np.stack([self.values[self.start + i:self.start + i + self.look_back] for i in indices])
-        ys = np.stack(
-            [
-                self.values[self.start + i + self.look_back:self.start + i + self.look_back + self.horizon]
-                for i in indices
-            ]
-        )
-        return Tensor(xs.transpose(0, 2, 1)), Tensor(ys.transpose(0, 2, 1))
+        batch = self.windows[indices]
+        return Tensor(batch[..., :self.look_back]), Tensor(batch[..., self.look_back:])
 
 
 def batch_iter(dataset: WindowDataset, batch_size: int, shuffle: bool = False, seed: int = 0):

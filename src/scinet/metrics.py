@@ -19,6 +19,7 @@ from .errors import ConfigError, DimensionError
 from .tensor import Tensor
 
 MAPE_FLOOR = 1e-8
+PE_BATCH = 64  # look-back tiles per forward pass in pe_report
 
 
 @dataclass
@@ -118,7 +119,7 @@ class PEReport:
         return lines
 
 
-def pe_report(model, values: np.ndarray, cfg: PEConfig, batch_size: int = 64) -> PEReport:
+def pe_report(model, values: np.ndarray, cfg: PEConfig) -> PEReport:
     """Permutation entropy of a series before and after the first stack's tree.
 
     ``values`` is a (rows, variates) normalized series. Consecutive
@@ -139,10 +140,7 @@ def pe_report(model, values: np.ndarray, cfg: PEConfig, batch_size: int = 64) ->
         raise ConfigError(f"need at least {look_back} rows for one window, got {values.shape[0]}")
     used = values[: tiles * look_back]
     batches = used.reshape(tiles, look_back, n_var).transpose(0, 2, 1)  # (tiles, variates, time)
-    reps = []
-    for at in range(0, tiles, batch_size):
-        rep = model.representation(Tensor(batches[at:at + batch_size]))
-        reps.append(rep.data)
+    reps = [model.representation(Tensor(batches[at:at + PE_BATCH])).data for at in range(0, tiles, PE_BATCH)]
     enhanced_series = np.concatenate(reps, axis=0).transpose(1, 0, 2).reshape(n_var, tiles * look_back)
     original_series = used.T
     original = np.array([permutation_entropy(original_series[v], cfg) for v in range(n_var)])

@@ -32,6 +32,7 @@ from .tensor import (
 )
 
 SIGNS = ("add", "sub")
+ROLES = ("scale_for_odd", "scale_for_even", "correct_odd", "correct_even")  # SCIBlock's modules, in order
 
 
 @dataclass
@@ -84,6 +85,8 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.sign not in SIGNS:
             raise ConfigError(f"sign must be one of {SIGNS}, got {self.sign!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def split_even_odd(x: Tensor) -> tuple[Tensor, Tensor]:
@@ -187,21 +190,19 @@ class SCINetTree:
             self._named.extend(self.decoder.named_parameters(name + "/decoder"))
 
     def _build_node(self, cfg: ModelConfig, rng, level: int, name: str) -> _TreeNode:
-        # construction order fixes the rng draw order: the four modules of a
-        # block first, then the even subtree, then the odd subtree
+        # construction order fixes the rng draw order: the modules of a block
+        # first, then the even subtree, then the odd subtree
         identity = cfg.identity_init and not cfg.no_interlearn
         make = lambda: InteractionModule(
             cfg.n_variates, cfg.hidden_ratio, cfg.kernel_size,
             cfg.leaky_slope, cfg.dropout, rng, identity_init=identity,
         )
+        roles = ("shared",) if cfg.weight_share else ROLES
+        modules = [make() for _ in roles]
+        for role, m in zip(roles, modules):
+            self._named.extend(m.named_parameters(f"{name}/{role}"))
         if cfg.weight_share:
-            shared = make()
-            modules = (shared, shared, shared, shared)
-            self._named.extend(shared.named_parameters(name + "/shared"))
-        else:
-            modules = (make(), make(), make(), make())
-            for role, m in zip(("scale_for_odd", "scale_for_even", "correct_odd", "correct_even"), modules):
-                self._named.extend(m.named_parameters(f"{name}/{role}"))
+            modules *= len(ROLES)  # the one module fills every role
         block = SCIBlock(*modules, sign=cfg.sign, no_interlearn=cfg.no_interlearn)
         if level == cfg.levels:
             return _TreeNode(block, None, None)
@@ -211,25 +212,16 @@ class SCINetTree:
             self._build_node(cfg, rng, level + 1, name + "o"),
         )
 
-    def forward(
-        self,
-        x: Tensor,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        return_representation: bool = False,
-    ):
-        cfg = self.config
-        parts = self.root.forward(x, training, rng)
-        rep = realign(parts)
-        if not cfg.no_residual:
-            rep = add(rep, x)
+    def representation(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+        """The realigned leaves plus, unless ``no_residual``, the input: what the decoder reads."""
+        rep = realign(self.root.forward(x, training, rng))
+        return rep if self.config.no_residual else add(rep, x)
+
+    def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+        rep = self.representation(x, training, rng)
         if self.decoder is None:
-            out = slice_time(rep, cfg.look_back - cfg.horizon, cfg.look_back)
-        else:
-            out = self.decoder.forward(rep)
-        if return_representation:
-            return out, rep
-        return out
+            return slice_time(rep, self.config.look_back - self.config.horizon, self.config.look_back)
+        return self.decoder.forward(rep)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self._named)
@@ -243,10 +235,10 @@ class StackedSCINet:
     k's forecast, so its input again has length look_back.
     """
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
+    def __init__(self, config: ModelConfig):
         config.validate()
         self.config = config
-        rng = np.random.default_rng(config.seed) if rng is None else rng
+        rng = np.random.default_rng(config.seed)
         self.trees = [SCINetTree(config, rng, f"stack{i}") for i in range(config.stacks)]
 
     def forward(
@@ -268,8 +260,7 @@ class StackedSCINet:
 
     def representation(self, x: Tensor) -> Tensor:
         """Pre-decoder sequence (post realign and residual) of the first stack."""
-        _, rep = self.trees[0].forward(x, training=False, return_representation=True)
-        return rep
+        return self.trees[0].representation(x)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [pair for tree in self.trees for pair in tree.named_parameters()]
@@ -279,8 +270,7 @@ class StackedSCINet:
 
 
 def build_model(config: ModelConfig) -> StackedSCINet:
-    config.validate()
-    return StackedSCINet(config, np.random.default_rng(config.seed))
+    return StackedSCINet(config)
 
 
 def compute_loss(outputs: list[Tensor], target: Tensor) -> tuple[Tensor, list[Tensor]]:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .tensor import Tape, Tensor, backward
 
 CHECKPOINT_VERSION = 1
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+PREDICT_BATCH = 256  # windows per forward pass when predicting
 
 
 @dataclass
@@ -151,20 +153,14 @@ def validation_loss(model: StackedSCINet, dataset: WindowDataset, batch_size: in
     return _window_mean(batches(), "validation")
 
 
-def predict_windows(model: StackedSCINet, dataset: WindowDataset, batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
+def predict_windows(model: StackedSCINet, dataset: WindowDataset) -> tuple[np.ndarray, np.ndarray]:
     """Final-stack predictions and truths as (windows, variates, horizon) arrays."""
-    preds = []
-    truths = []
-    for xb, yb in batch_iter(dataset, batch_size, shuffle=False):
-        outputs = model.forward(xb, training=False)
-        preds.append(outputs[-1].data)
-        truths.append(yb.data)
-    return np.concatenate(preds, axis=0), np.concatenate(truths, axis=0)
+    pairs = [(model.forward(xb)[-1].data, yb.data) for xb, yb in batch_iter(dataset, PREDICT_BATCH)]
+    return np.concatenate([p for p, _ in pairs]), np.concatenate([t for _, t in pairs])
 
 
-def evaluate(model: StackedSCINet, dataset: WindowDataset, batch_size: int = 256) -> MetricReport:
-    pred, truth = predict_windows(model, dataset, batch_size)
-    return compute_metrics(pred, truth)
+def evaluate(model: StackedSCINet, dataset: WindowDataset) -> MetricReport:
+    return compute_metrics(*predict_windows(model, dataset))
 
 
 def should_stop(val_history: list[float], patience: int) -> bool:
@@ -236,6 +232,11 @@ def fit(
     return FitResult(history=history, best_epoch=best_epoch, best_val=best_val, stopped_early=stopped)
 
 
+def _tensor_table(named: list[tuple[str, Tensor]]) -> list[dict]:
+    """The manifest's ``tensors`` entries: each parameter's name, shape and byte count, in payload order."""
+    return [{"name": name, "shape": list(t.shape), "byte_length": t.size * 8} for name, t in named]
+
+
 def save_checkpoint(path: str, model: StackedSCINet, extras: dict | None = None) -> None:
     """Write manifest + NUL + concatenated little-endian float64 parameter blobs.
 
@@ -249,9 +250,7 @@ def save_checkpoint(path: str, model: StackedSCINet, extras: dict | None = None)
         "format_version": CHECKPOINT_VERSION,
         "model_config": asdict(model.config),
         "extras": extras or {},
-        "tensors": [
-            {"name": name, "shape": list(t.shape), "byte_length": t.size * 8} for name, t in named
-        ],
+        "tensors": _tensor_table(named),
     }
     payload = json.dumps(manifest, indent=2).encode("utf-8")
     directory = os.path.dirname(path)
@@ -287,33 +286,31 @@ def load_checkpoint(path: str) -> tuple[StackedSCINet, dict]:
         manifest = json.loads(raw[:sep].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"checkpoint {path} manifest is not valid json: {e}") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"checkpoint {path} manifest is not a json object")
     version = manifest.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint format version {version!r} unsupported; expected {CHECKPOINT_VERSION}")
     try:
-        config = ModelConfig(**manifest["model_config"])
-    except (KeyError, TypeError) as e:
+        model = build_model(ModelConfig(**manifest["model_config"]))
+    except (KeyError, TypeError, ConfigError) as e:
         raise CheckpointError(f"checkpoint {path} has an invalid model_config: {e}") from None
-    model = build_model(config)
     named = model.named_parameters()
-    entries = manifest.get("tensors", [])
-    if len(entries) != len(named):
-        raise CheckpointError(f"checkpoint lists {len(entries)} tensors, model has {len(named)}")
+    stored, table = manifest.get("tensors"), _tensor_table(named)
+    if stored != table:
+        at, (got, want) = next(
+            (i, pair) for i, pair in enumerate(zip_longest(stored if isinstance(stored, list) else [], table))
+            if pair[0] != pair[1]
+        )
+        raise CheckpointError(f"checkpoint {path} tensor {at} is {got!r}; the model expects {want!r}")
     blob = raw[sep + 1:]
     offset = 0
-    for entry, (name, t) in zip(entries, named):
-        if entry["name"] != name:
-            raise CheckpointError(f"tensor order mismatch: checkpoint has {entry['name']!r}, model expects {name!r}")
-        shape = tuple(entry["shape"])
-        if shape != t.shape:
-            raise CheckpointError(f"tensor {name!r}: checkpoint shape {shape} vs model shape {t.shape}")
-        length = int(entry["byte_length"])
-        if length != t.size * 8:
-            raise CheckpointError(f"tensor {name!r}: declared byte length {length} does not match shape {shape}")
+    for name, t in named:
+        length = t.size * 8
         chunk = blob[offset:offset + length]
         if len(chunk) < length:
             raise CheckpointError(f"tensor {name!r}: expected {length} bytes, file holds {len(chunk)}")
-        t.data = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
+        t.data = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(t.shape)
         offset += length
     if offset != len(blob):
         raise CheckpointError(f"checkpoint {path} has {len(blob) - offset} trailing bytes")

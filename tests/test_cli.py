@@ -1,4 +1,5 @@
 import csv
+import json
 from dataclasses import fields
 from datetime import datetime, timedelta
 from types import SimpleNamespace
@@ -324,6 +325,43 @@ def test_checkpoint_without_training_extras_exits_1(trained, tmp_path, capsys, c
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert all(key in captured.err for key in ("norm_mean", "norm_std", "timestamp_column", "split"))
 
+
+
+def _break_levels(manifest):
+    manifest["model_config"]["levels"] = 4  # 2^4 does not divide look_back 8
+
+
+def _stringify_entry(manifest):
+    manifest["tensors"][1] = "w_in"
+
+
+def _drop_byte_length(manifest):
+    del manifest["tensors"][0]["byte_length"]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda manifest: [1, 2], "not a json object"),
+        (_break_levels, "invalid model_config"),
+        (_stringify_entry, "tensor 1 is 'w_in'"),
+        (_drop_byte_length, "tensor 0 is"),
+    ],
+    ids=["non-object manifest", "invalid config", "entry is a string", "entry lacks byte_length"],
+)
+def test_malformed_manifest_exits_1(trained, tmp_path, capsys, mutate, message):
+    raw = trained.ckpt.read_bytes()
+    sep = raw.index(b"\x00")
+    manifest = json.loads(raw[:sep])
+    manifest = mutate(manifest) or manifest
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(json.dumps(manifest).encode("utf-8") + raw[sep:])
+    rc = main(["eval", str(broken), str(trained.data), "--out", str(tmp_path / "r.txt")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(broken) in captured.err and message in captured.err
 
 
 @pytest.mark.parametrize("command", ["eval", "predict", "pe"])

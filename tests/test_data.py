@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scinet.data import (
     SplitSpec,
@@ -281,6 +283,24 @@ class TestWindowDataset:
         npt.assert_array_equal(x.data[0, 0], [0.0, 2.0, 4.0, 6.0])
         npt.assert_array_equal(x.data[0, 1], [1.0, 3.0, 5.0, 7.0])
         npt.assert_array_equal(y.data[1, 0], [14.0, 16.0])
+
+    @given(
+        rows=st.integers(2, 40), variates=st.integers(1, 3), look_back=st.integers(1, 8),
+        horizon=st.integers(1, 8), data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_gather_is_stacked_samples_of_a_view(self, rows, variates, look_back, horizon, data):
+        values = np.random.default_rng(rows).normal(size=(rows + look_back + horizon, variates))
+        start = data.draw(st.integers(0, rows - 1), label="start")
+        stop = data.draw(st.integers(start + look_back + horizon, values.shape[0]), label="stop")
+        ds = WindowDataset(values, (start, stop), look_back, horizon)
+        idx = np.array(data.draw(st.lists(st.integers(0, len(ds) - 1), min_size=1, max_size=6), label="idx"))
+        x, y = ds.gather(idx)
+        assert x.shape == (idx.size, variates, look_back) and y.shape == (idx.size, variates, horizon)
+        samples = [ds.sample(int(i)) for i in idx]
+        assert x.data.tobytes() == np.stack([sx.T for sx, _ in samples]).tobytes()
+        assert y.data.tobytes() == np.stack([sy.T for _, sy in samples]).tobytes()
+        assert np.shares_memory(ds.windows, values)
 
     def test_too_short_segment_rejected(self):
         values = np.zeros((10, 1))

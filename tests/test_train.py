@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scinet.data import WindowDataset, fit_normalizer, synthetic_frame
 from scinet.errors import CheckpointError, ConfigError, NumericError
@@ -450,3 +452,35 @@ class TestCheckpoint:
         ds = small_dataset()
         opt = Adam(loaded.parameters(), lr=1e-3)
         train_epoch(loaded, ds, opt, batch_size=16, rng=np.random.default_rng(0))
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """A levels 2, stacks 2 checkpoint's bytes, its manifest length, and a scratch file to load from."""
+    root = tmp_path_factory.mktemp("robust")
+    good = root / "good.ckpt"
+    save_checkpoint(good, build_model(small_config(levels=2, stacks=2)), {"norm_mean": [0.5], "note": "x"})
+    raw = good.read_bytes()
+    return raw, raw.index(b"\x00"), root / "probe.ckpt"
+
+
+class TestCheckpointRobustness:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_truncation_raises_checkpoint_error(self, saved_checkpoint, data):
+        raw, _, probe = saved_checkpoint
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        probe.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(probe)
+
+    @given(data=st.data(), value=st.one_of(st.sampled_from(b'-019e." \x00'), st.integers(0, 255)))
+    @settings(max_examples=300, deadline=None)
+    def test_manifest_byte_overwrite_loads_or_raises_checkpoint_error(self, saved_checkpoint, data, value):
+        raw, sep, probe = saved_checkpoint
+        at = data.draw(st.integers(0, sep - 1), label="at")
+        probe.write_bytes(raw[:at] + bytes([value]) + raw[at + 1:])
+        try:
+            load_checkpoint(probe)
+        except CheckpointError:
+            pass
