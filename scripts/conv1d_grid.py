@@ -1,0 +1,110 @@
+"""Time ``tensor.conv1d`` forward and forward+backward over a shape grid.
+
+    python3 scripts/conv1d_grid.py --src OTHER/src --src src --rounds 7 > grid.json
+
+Each ``--src`` is a scinet source tree. A round runs one worker process per
+tree, with the order of the trees rotating from round to round, so slow
+phases of the host fall on every tree alike. A worker imports scinet from its
+tree with one BLAS thread (as ``perfbench/run.py`` does) and times every
+shape: the median of REPEATS loops of calls, each loop about LOOP_S long.
+The output gives, per tree and shape, the median and quartiles over the
+rounds in microseconds per call, and the machine it ran on.
+
+The grid is the interaction module's two convolutions, variates d to hidden
+2d and back, at kernel 5, for d in {3, 21}, time length n in {3, 6, 24} (the
+tree levels' lengths at look-back 48 and below) and batch in {32, 256}
+(training and inference batches).
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+REPEATS = 5
+LOOP_S = 0.01
+KERNEL = 5
+GRID = [(b, c, o, n) for b in (32, 256) for d in (3, 21) for c, o in ((d, 2 * d), (2 * d, d)) for n in (3, 6, 24)]
+
+
+def worker() -> None:
+    import numpy as np
+    from scinet import tensor
+
+    rng = np.random.default_rng(0)
+    out = {}
+    for batch, in_ch, out_ch, n in GRID:
+        x = tensor.Tensor(rng.normal(size=(batch, in_ch, n)), requires_grad=True)
+        w = tensor.Tensor(rng.normal(size=(out_ch, in_ch, KERNEL)), requires_grad=True)
+        b = tensor.Tensor(rng.normal(size=out_ch), requires_grad=True)
+
+        def forward():
+            tensor.conv1d(x, w, b)
+
+        def forward_backward():
+            with tensor.Tape() as tape:
+                loss = tensor.sum_all(tensor.conv1d(x, w, b))
+            tensor.backward(loss, tape)
+
+        for mode, fn in (("fwd", forward), ("fwd_bwd", forward_backward)):
+            t0 = time.perf_counter()
+            fn()
+            calls = max(1, int(LOOP_S / (time.perf_counter() - t0)))
+            loops = []
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                for _ in range(calls):
+                    fn()
+                loops.append((time.perf_counter() - t0) / calls)
+            out[f"b{batch}_c{in_ch}_o{out_ch}_n{n}_{mode}"] = statistics.median(loops) * 1e6
+    print(json.dumps(out))
+
+
+def machine() -> dict:
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "blas_config": blas.get("openblas configuration", ""),
+        "blas_threads": 1,
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--src", action="append", required=True, help="a scinet source tree (repeatable)")
+    parser.add_argument("--rounds", type=int, default=7)
+    args = parser.parse_args()
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2 to give quartiles")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    runs = {src: [] for src in args.src}
+    for r in range(args.rounds):
+        order = args.src[r % len(args.src):] + args.src[:r % len(args.src)]
+        for src in order:
+            done = subprocess.run([sys.executable, __file__, "--worker"], env=dict(env, PYTHONPATH=src),
+                                  check=True, capture_output=True, text=True)
+            runs[src].append(json.loads(done.stdout))
+    result = {}
+    for src, rounds in runs.items():
+        result[src] = {}
+        for key in rounds[0]:
+            q1, med, q3 = statistics.quantiles([run[key] for run in rounds], n=4, method="inclusive")
+            result[src][key] = {"median_us": round(med, 1), "q1_us": round(q1, 1), "q3_us": round(q3, 1)}
+    print(json.dumps({"machine": machine(), "rounds": args.rounds, "repeats": REPEATS, "kernel": KERNEL,
+                      "timings": result}, indent=1))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--worker"]:
+        worker()
+    else:
+        main()

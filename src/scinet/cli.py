@@ -216,7 +216,7 @@ def cmd_train(args, overrides: dict[str, str]) -> int:
 def _restore(checkpoint: str, data: str):
     """The checkpoint's model and extras, and the dataset normalized with its statistics."""
     model, manifest = load_checkpoint(checkpoint)
-    extras = manifest["extras"]
+    extras = manifest.get("extras", {})
     missing = [key for key in RESTORE_EXTRAS if key not in extras]
     if missing:
         raise CheckpointError(f"checkpoint {checkpoint} lacks the training extras {', '.join(missing)}")
@@ -251,14 +251,16 @@ def cmd_predict(args) -> int:
     dataset = WindowDataset(values, (0, frame.length), cfg.look_back, cfg.horizon)
     scale = args.scale or extras.get("metrics_scale", "normalized")
     pred, truth = _in_scale(stats, scale, *predict_windows(model, dataset))
+    windows, variates, horizon = pred.shape
+    # rows run window, step, variate, so the values are read in that order too
+    index = np.indices((windows, horizon, variates)).reshape(3, -1)
+    index[1] += 1  # steps count from 1
+    values = (a.swapaxes(1, 2).ravel().tolist() for a in (truth, pred))
     with open(args.emit, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window_id", "step", "variate", "truth", "prediction"])
-        for w in range(pred.shape[0]):
-            for s in range(pred.shape[2]):
-                for v in range(pred.shape[1]):
-                    writer.writerow([w, s + 1, v, repr(float(truth[w, v, s])), repr(float(pred[w, v, s]))])
-    print(f"windows={pred.shape[0]} rows={pred.shape[0] * pred.shape[1] * pred.shape[2]} emitted={args.emit}")
+        writer.writerows(zip(*index.tolist(), *values))
+    print(f"windows={windows} rows={windows * variates * horizon} emitted={args.emit}")
     return 0
 
 

@@ -8,7 +8,9 @@ Conventions fixed across the package:
 * inputs to exp are clamped to [-20, 20] and the gradient is zero outside
   the clamp
 * a Tape records operations in execution order, which is already a valid
-  topological order, so a single reverse sweep propagates every gradient
+  topological order, so a single reverse sweep propagates every gradient;
+  the sweep consumes the tape, popping each node and freeing what its rule
+  saved once the rule has run, so a tape supports one backward
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ class Tape:
     Used as a context manager; ops record themselves onto the innermost
     active tape whenever an input requires a gradient. Because nodes are
     appended in the order they execute, every node's operands precede it,
-    and one reverse iteration is a complete backward pass.
+    and one reverse iteration is a complete backward pass. ``backward``
+    consumes the tape: it leaves ``nodes`` empty.
     """
 
     def __init__(self):
@@ -181,6 +184,34 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     return _emit(out, (x,), lambda g: (g * np.where(xd >= 0.0, 1.0, slope),))
 
 
+def _conv1d_grads(g: np.ndarray, padded: np.ndarray, wd: np.ndarray):
+    """Input, kernel and bias gradients of conv1d for its output gradient g.
+
+    Both GEMMs are time-major: g2 has one row per (batch, time) pair. The
+    kernel gradient multiplies it with the padded input unfolded again into
+    rows of in_ch*k taps; the input gradient is one (batch*n, in_ch) product
+    per tap, added into the padded time range that tap read, and the
+    padding's share folds back onto the edge samples.
+    """
+    out_ch, in_ch, k = wd.shape
+    batch, _, n = g.shape
+    pad = (k - 1) // 2
+    g2 = g.transpose(0, 2, 1).reshape(batch * n, out_ch)
+    taps = sliding_window_view(padded, n, axis=2)  # (batch, in_ch, k, n) view
+    gw = (g2.T @ taps.transpose(0, 3, 1, 2).reshape(batch * n, in_ch * k)).reshape(wd.shape)
+    per_tap = np.matmul(g2, wd.transpose(2, 0, 1)).reshape(k, batch, n, in_ch)
+    gp = np.empty((batch, n + 2 * pad, in_ch))  # the first tap fills it, so no zeroing pass
+    gp[:, :n] = per_tap[0]
+    gp[:, n:] = 0.0
+    for j in range(1, k):
+        gp[:, j:j + n] += per_tap[j]
+    gx = np.ascontiguousarray(gp[:, pad:pad + n].transpose(0, 2, 1))
+    if pad:
+        gx[:, :, 0] += gp[:, :pad].sum(axis=1)
+        gx[:, :, -1] += gp[:, pad + n:].sum(axis=1)
+    return gx, gw, g.sum(axis=(0, 2))
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Length-preserving 1-D cross-correlation over the last axis.
 
@@ -188,6 +219,11 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     The input is padded by (k-1)/2 replicated edge samples on each side, so
     out[t] = sum_{c,j} w[o,c,j] * padded[c, t+j] + b[o] and the output keeps
     length n. The gradient of the padding folds back onto the edge samples.
+
+    The sum is one GEMM (im2col): the taps are unfolded into columns
+    cols (batch, in_ch*k, n) with cols[:, c*k + j, t] = padded[:, c, t+j], the
+    row order of w.reshape(out_ch, in_ch*k), so out = w2 @ cols + b. Only the
+    padded input is kept for backward, which unfolds it again.
     """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 3:
@@ -203,23 +239,18 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"conv1d: bias has {bd.shape[0]} channels, kernel yields {out_ch}")
     batch, _, n = xd.shape
     pad = (k - 1) // 2
-    padded = np.pad(xd, ((0, 0), (0, 0), (pad, pad)), mode="edge") if pad else xd
-    windows = sliding_window_view(padded, k, axis=2)  # (batch, in_ch, n, k)
-    out = np.tensordot(windows, wd, axes=([1, 3], [1, 2]))  # (batch, n, out_ch)
-    out = np.ascontiguousarray(out.transpose(0, 2, 1)) + bd[None, :, None]
+    padded = xd
+    if pad:
+        padded = np.empty((batch, in_ch, n + 2 * pad))
+        padded[:, :, :pad] = xd[:, :, :1]
+        padded[:, :, pad:pad + n] = xd
+        padded[:, :, pad + n:] = xd[:, :, -1:]
+    cols = sliding_window_view(padded, n, axis=2).reshape(batch, in_ch * k, n)
+    out = np.matmul(wd.reshape(out_ch, in_ch * k), cols)
+    out += bd[:, None]
 
     def rule(g):
-        gw = np.tensordot(g, windows, axes=([0, 2], [0, 2]))
-        gb = g.sum(axis=(0, 2))
-        gp = np.zeros((batch, n + 2 * pad, in_ch))
-        for j in range(k):
-            gp[:, j:j + n, :] += np.tensordot(g, wd[:, :, j], axes=([1], [0]))
-        gp = gp.transpose(0, 2, 1)  # (batch, in_ch, padded time)
-        gx = np.ascontiguousarray(gp[:, :, pad:pad + n])
-        if pad:
-            gx[:, :, 0] += gp[:, :, :pad].sum(axis=2)
-            gx[:, :, -1] += gp[:, :, pad + n:].sum(axis=2)
-        return gx, gw, gb
+        return _conv1d_grads(g, padded, wd)
 
     return _emit(out, (x, w, b), rule)
 
@@ -315,6 +346,9 @@ def abs_(x: Tensor) -> Tensor:
 def backward(loss: Tensor, tape: Tape) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every tensor recorded on the tape.
 
+    The sweep consumes the tape: each node is popped off ``tape.nodes`` before
+    its rule runs, so the arrays the rule saved are freed as soon as it has
+    run, and a second ``backward`` on the same tape raises ``UsageError``.
     Gradients add across multiple uses of the same tensor. Backward rules may
     return views or aliases of upstream gradient arrays, so consumers must
     never mutate a ``grad`` array in place; replace it instead.
@@ -323,8 +357,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise UsageError(f"backward: loss must be a scalar, got shape {loss.shape}")
     if not tape.produced(loss):
         raise UsageError("backward: loss was not produced on this tape")
+    if not tape.nodes:  # the loss's own node was recorded, so only a sweep empties the tape
+        raise UsageError("backward: this tape was already consumed by an earlier backward; record a new one")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
         g = node.output.grad
         if g is None:
             continue

@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from scinet import cli
 from scinet.cli import (
     RunConfig,
     main,
@@ -282,6 +283,23 @@ class TestPredictCommand:
             preds = [float(r["prediction"]) for r in csv.DictReader(fh)]
         assert np.all(np.isfinite(preds))
 
+    def test_emitted_csv_bytes_match_per_cell_repr(self, trained, tmp_path, capsys, monkeypatch):
+        # values whose text is easy to get wrong: a signed zero, a tiny normal
+        # and a repeating fraction; rows run window, step, variate
+        pred = np.resize([-0.0, 1e-300, 2.0 / 3.0, -1.5], (3, 2, 4))
+        truth = np.resize([2.0 / 3.0, 7.0, -0.0, 0.1, 1e-300], (3, 2, 4))
+        monkeypatch.setattr(cli, "predict_windows", lambda model, dataset: (pred, truth))
+        emit = tmp_path / "pred.csv"
+        rc = main(["predict", str(trained.ckpt), str(trained.data), "--emit", str(emit), "--scale", "normalized"])
+        assert rc == 0
+        assert capsys.readouterr().out == f"windows=3 rows=24 emitted={emit}\n"
+        expected = ["window_id,step,variate,truth,prediction"]
+        for w in range(3):
+            for s in range(4):
+                for v in range(2):
+                    expected.append(f"{w},{s + 1},{v},{float(truth[w, v, s])!r},{float(pred[w, v, s])!r}")
+        assert emit.read_bytes() == ("\r\n".join(expected) + "\r\n").encode()
+
 
 class TestPeCommand:
     def test_data_only_lists_variates(self, trained, capsys):
@@ -339,6 +357,10 @@ def _drop_byte_length(manifest):
     del manifest["tensors"][0]["byte_length"]
 
 
+def _rename_extras(manifest):
+    manifest["extras_renamed"] = manifest.pop("extras")
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -346,8 +368,9 @@ def _drop_byte_length(manifest):
         (_break_levels, "invalid model_config"),
         (_stringify_entry, "tensor 1 is 'w_in'"),
         (_drop_byte_length, "tensor 0 is"),
+        (_rename_extras, "lacks the training extras"),
     ],
-    ids=["non-object manifest", "invalid config", "entry is a string", "entry lacks byte_length"],
+    ids=["non-object manifest", "invalid config", "entry is a string", "entry lacks byte_length", "no extras key"],
 )
 def test_malformed_manifest_exits_1(trained, tmp_path, capsys, mutate, message):
     raw = trained.ckpt.read_bytes()

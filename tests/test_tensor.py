@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scinet.errors import ConfigError, DimensionError, NumericError, UsageError
 from scinet.tensor import (
@@ -200,6 +202,59 @@ class TestConv1d:
 
         assert finite_diff_check(f, [x, w, b]) < 1e-6
 
+    @pytest.mark.parametrize("k, n", [(1, 6), (5, 1)], ids=["k1 unpadded", "k5 n1 multi-pad edge fold"])
+    def test_gradcheck_padding_extremes(self, k, n):
+        rng = np.random.default_rng(7)
+        x = leaf(rng.normal(size=(2, 3, n)))
+        w = leaf(rng.normal(size=(2, 3, k)))
+        b = leaf(rng.normal(size=2))
+        probe = np.asarray(rng.normal(size=(2, 2, n)))
+
+        def f():
+            return sum_all(mul(conv1d(x, w, b), Tensor(probe)))
+
+        assert finite_diff_check(f, [x, w, b]) < 1e-6
+
+    @given(
+        batch=st.integers(1, 3),
+        in_ch=st.integers(1, 4),
+        out_ch=st.integers(1, 4),
+        k=st.sampled_from([1, 3, 5, 7]),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_tap_by_tap_reference(self, batch, in_ch, out_ch, k, n, seed):
+        # independent reference: each padded position reads x at its index
+        # clamped into [0, n), one tap at a time, and the input gradient
+        # scatters back through the same clamped index
+        rng = np.random.default_rng(seed)
+        xd = rng.normal(size=(batch, in_ch, n))
+        wd = rng.normal(size=(out_ch, in_ch, k))
+        bd = rng.normal(size=out_ch)
+        probe = rng.normal(size=(batch, out_ch, n))
+        pad = (k - 1) // 2
+        source = np.clip(np.arange(n + 2 * pad) - pad, 0, n - 1)
+        padded = xd[:, :, source]
+        out = np.broadcast_to(bd[None, :, None], (batch, out_ch, n)).copy()
+        gw = np.zeros_like(wd)
+        gx = np.zeros_like(xd)
+        for j in range(k):
+            tap = padded[:, :, j:j + n]
+            out += np.einsum("oc,bct->bot", wd[:, :, j], tap)
+            gw[:, :, j] = np.einsum("bot,bct->oc", probe, tap)
+            np.add.at(gx, (slice(None), slice(None), source[j:j + n]), np.einsum("oc,bot->bct", wd[:, :, j], probe))
+
+        x, w, b = leaf(xd), leaf(wd), leaf(bd)
+        with Tape() as tape:
+            y = conv1d(x, w, b)
+            loss = sum_all(mul(y, Tensor(probe)))
+        backward(loss, tape)
+        npt.assert_allclose(y.data, out, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(w.grad, gw, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(b.grad, probe.sum(axis=(0, 2)), rtol=1e-12, atol=1e-12)
+
 
 class TestLinear:
     def test_forward(self):
@@ -327,6 +382,17 @@ class TestTapeAndBackward:
         stray = leaf(3.0)
         with pytest.raises(UsageError):
             backward(stray, tape)
+
+    def test_backward_consumes_the_tape(self):
+        x = leaf([1.0, 2.0])
+        with Tape() as tape:
+            loss = sum_all(mul(x, x))
+        backward(loss, tape)
+        assert tape.nodes == []
+        npt.assert_array_equal(x.grad, [2.0, 4.0])
+        with pytest.raises(UsageError, match="tape was already consumed"):
+            backward(loss, tape)
+        npt.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_mean_all_gradient(self):
         x = leaf(np.ones((2, 5)))
