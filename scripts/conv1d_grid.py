@@ -13,7 +13,9 @@ rounds in microseconds per call, and the machine it ran on.
 The grid is the interaction module's two convolutions, variates d to hidden
 2d and back, at kernel 5, for d in {3, 21}, time length n in {3, 6, 24} (the
 tree levels' lengths at look-back 48 and below) and batch in {32, 256}
-(training and inference batches).
+(training and inference batches). Long rows add d = 7 at batch 32 with n in
+{96, 360} (the first levels at look-backs 192 and 720), so a cost that grows
+faster than linearly in n shows.
 """
 
 import argparse
@@ -29,6 +31,7 @@ REPEATS = 5
 LOOP_S = 0.01
 KERNEL = 5
 GRID = [(b, c, o, n) for b in (32, 256) for d in (3, 21) for c, o in ((d, 2 * d), (2 * d, d)) for n in (3, 6, 24)]
+GRID += [(32, c, o, n) for c, o in ((7, 14), (14, 7)) for n in (96, 360)]
 
 
 def worker() -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -220,13 +221,24 @@ def _restore(checkpoint: str, data: str):
     missing = [key for key in RESTORE_EXTRAS if key not in extras]
     if missing:
         raise CheckpointError(f"checkpoint {checkpoint} lacks the training extras {', '.join(missing)}")
+    n_variates = model.config.n_variates
+    for key in ("norm_mean", "norm_std"):
+        value = extras[key]
+        if not (isinstance(value, list) and len(value) == n_variates
+                and all(type(v) in (int, float) and math.isfinite(v) for v in value)):
+            raise CheckpointError(f"checkpoint {checkpoint} extras {key} must be {n_variates} finite numbers, got {value!r}")
     stats = NormStats(
         mean=np.asarray(extras["norm_mean"], dtype=np.float64),
         std=np.asarray(extras["norm_std"], dtype=np.float64),
     )
+    if not np.all(stats.std > 0.0):
+        raise CheckpointError(f"checkpoint {checkpoint} extras norm_std must be positive, got {extras['norm_std']!r}")
+    scale = extras.get("metrics_scale", "normalized")
+    if scale not in SCALES:
+        raise CheckpointError(f"checkpoint {checkpoint} extras metrics_scale must be one of {SCALES}, got {scale!r}")
     frame = _load_frame(data, extras["timestamp_column"])
-    if frame.n_variates != model.config.n_variates:
-        raise ConfigError(f"checkpoint {checkpoint} has {model.config.n_variates} variates, {data} has {frame.n_variates}")
+    if frame.n_variates != n_variates:
+        raise ConfigError(f"checkpoint {checkpoint} has {n_variates} variates, {data} has {frame.n_variates}")
     return model, extras, stats, frame, stats.apply(frame.values)
 
 

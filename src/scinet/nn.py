@@ -37,8 +37,8 @@ def dropout_forward(x: Tensor, p: float, training: bool, rng: np.random.Generato
         return x
     if rng is None:
         raise UsageError("dropout in training mode requires an rng")
-    keep = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return mul(x, Tensor(keep))
+    keep = np.multiply(rng.random(x.shape) >= p, 1.0 / (1.0 - p))
+    return mul(x, Tensor._wrap(keep, False))
 
 
 class InteractionModule:

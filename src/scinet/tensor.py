@@ -4,7 +4,9 @@ Conventions fixed across the package:
 
 * no implicit broadcasting: elementwise operands must match shapes exactly
 * conv1d is a cross-correlation (kernels are not flipped) with replication
-  padding, so output length equals input length
+  padding, so output length equals input length; it reads its taps through
+  one cached clamped index, so no padded copy of the input exists, and its
+  backward rule keeps nothing but the input's and kernel's own arrays
 * inputs to exp are clamped to [-20, 20] and the gradient is zero outside
   the clamp
 * a Tape records operations in execution order, which is already a valid
@@ -15,11 +17,11 @@ Conventions fixed across the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, NumericError, UsageError
 
@@ -156,7 +158,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     ad, bd = a.data, b.data
-    return _emit(ad * bd, (a, b), lambda g: (g * bd, g * ad))
+
+    def rule(g):  # no product for a constant operand, such as a dropout mask
+        return (g * bd if a.requires_grad else None), (g * ad if b.requires_grad else None)
+
+    return _emit(ad * bd, (a, b), rule)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -169,8 +175,7 @@ def exp(x: Tensor) -> Tensor:
     if not np.all(np.isfinite(out)):
         idx = int(np.flatnonzero(~np.isfinite(np.ravel(out)))[0])
         raise NumericError(f"exp produced a non-finite value at flat index {idx}")
-    inside = np.abs(xd) < EXP_CLAMP
-    return _emit(out, (x,), lambda g: (g * out * inside,))
+    return _emit(out, (x,), lambda g: (g * out * (np.abs(xd) < EXP_CLAMP),))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -184,21 +189,31 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     return _emit(out, (x,), lambda g: (g * np.where(xd >= 0.0, 1.0, slope),))
 
 
-def _conv1d_grads(g: np.ndarray, padded: np.ndarray, wd: np.ndarray):
+@functools.lru_cache(maxsize=64)
+def _taps(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices of the sample clip(t + j - (k-1)/2, 0, n-1), the replication
+    padding, that conv1d's tap j reads at time t: channel-major (j*n + t) and time-major
+    (t*k + j). They are in range, so gathers use mode="clip" and skip the raising check."""
+    src = np.clip(np.arange(n)[:, None] + np.arange(k) - (k - 1) // 2, 0, n - 1)  # [t, j]
+    channel_major, time_major = src.T.ravel(), src.ravel()
+    channel_major.flags.writeable = time_major.flags.writeable = False
+    return channel_major, time_major
+
+
+def _conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray):
     """Input, kernel and bias gradients of conv1d for its output gradient g.
 
-    Both GEMMs are time-major: g2 has one row per (batch, time) pair. The
-    kernel gradient multiplies it with the padded input unfolded again into
-    rows of in_ch*k taps; the input gradient is one (batch*n, in_ch) product
-    per tap, added into the padded time range that tap read, and the
-    padding's share folds back onto the edge samples.
+    Both GEMMs are time-major (g2 has a row per batch and time). The kernel gradient's other
+    operand, k*in_ch taps per row, is gathered through the time-major tap index from a
+    contiguous (batch, n, in_ch) copy of x, both temporaries freed before the fold allocates.
+    The fold adds one (batch*n, in_ch) product per tap into the range it read on a buffer with
+    pad extra samples per side, whose ends then fold onto the edge samples they clamp to.
     """
-    out_ch, in_ch, k = wd.shape
-    batch, _, n = g.shape
+    (out_ch, in_ch, k), (batch, _, n) = wd.shape, g.shape
     pad = (k - 1) // 2
     g2 = g.transpose(0, 2, 1).reshape(batch * n, out_ch)
-    taps = sliding_window_view(padded, n, axis=2)  # (batch, in_ch, k, n) view
-    gw = (g2.T @ taps.transpose(0, 3, 1, 2).reshape(batch * n, in_ch * k)).reshape(wd.shape)
+    gw = g2.T @ np.take(np.ascontiguousarray(xd.transpose(0, 2, 1)), _taps(n, k)[1], axis=1,
+                        mode="clip").reshape(batch * n, k * in_ch)
     per_tap = np.matmul(g2, wd.transpose(2, 0, 1)).reshape(k, batch, n, in_ch)
     gp = np.empty((batch, n + 2 * pad, in_ch))  # the first tap fills it, so no zeroing pass
     gp[:, :n] = per_tap[0]
@@ -209,21 +224,18 @@ def _conv1d_grads(g: np.ndarray, padded: np.ndarray, wd: np.ndarray):
     if pad:
         gx[:, :, 0] += gp[:, :pad].sum(axis=1)
         gx[:, :, -1] += gp[:, pad + n:].sum(axis=1)
-    return gx, gw, g.sum(axis=(0, 2))
+    return gx, np.ascontiguousarray(gw.reshape(out_ch, k, in_ch).transpose(0, 2, 1)), g.sum(axis=(0, 2))
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Length-preserving 1-D cross-correlation over the last axis.
+    """Length-preserving 1-D cross-correlation over the last axis, with replication padding.
 
-    x: (batch, in_ch, n), w: (out_ch, in_ch, k) with k odd, b: (out_ch,).
-    The input is padded by (k-1)/2 replicated edge samples on each side, so
-    out[t] = sum_{c,j} w[o,c,j] * padded[c, t+j] + b[o] and the output keeps
-    length n. The gradient of the padding folds back onto the edge samples.
-
-    The sum is one GEMM (im2col): the taps are unfolded into columns
-    cols (batch, in_ch*k, n) with cols[:, c*k + j, t] = padded[:, c, t+j], the
-    row order of w.reshape(out_ch, in_ch*k), so out = w2 @ cols + b. Only the
-    padded input is kept for backward, which unfolds it again.
+    x: (batch, in_ch, n), w: (out_ch, in_ch, k) with k odd, b: (out_ch,). With pad = (k-1)/2,
+    out[o, t] = sum_{c,j} w[o,c,j] * x[c, clip(t+j-pad, 0, n-1)] + b[o]. The sum is one GEMM
+    (im2col): one gather through the cached clamped tap index (``_taps``), with no padded
+    buffer, builds cols (batch, in_ch*k, n) with cols[:, c*k + j, t] = x[:, c, clip(t+j-pad)],
+    the row order of w.reshape(out_ch, in_ch*k), so out = w2 @ cols + b. The backward rule
+    keeps only x's and w's own arrays, so the tape holds no conv1d buffer.
     """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 3:
@@ -238,19 +250,12 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if bd.shape[0] != out_ch:
         raise DimensionError(f"conv1d: bias has {bd.shape[0]} channels, kernel yields {out_ch}")
     batch, _, n = xd.shape
-    pad = (k - 1) // 2
-    padded = xd
-    if pad:
-        padded = np.empty((batch, in_ch, n + 2 * pad))
-        padded[:, :, :pad] = xd[:, :, :1]
-        padded[:, :, pad:pad + n] = xd
-        padded[:, :, pad + n:] = xd[:, :, -1:]
-    cols = sliding_window_view(padded, n, axis=2).reshape(batch, in_ch * k, n)
+    cols = np.take(xd, _taps(n, k)[0], axis=2, mode="clip").reshape(batch, in_ch * k, n)
     out = np.matmul(wd.reshape(out_ch, in_ch * k), cols)
     out += bd[:, None]
 
     def rule(g):
-        return _conv1d_grads(g, padded, wd)
+        return _conv1d_grads(g, xd, wd)
 
     return _emit(out, (x, w, b), rule)
 

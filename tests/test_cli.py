@@ -361,6 +361,12 @@ def _rename_extras(manifest):
     manifest["extras_renamed"] = manifest.pop("extras")
 
 
+def _set_extra(key, value):
+    def mutate(manifest):
+        manifest["extras"][key] = value
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -369,8 +375,16 @@ def _rename_extras(manifest):
         (_stringify_entry, "tensor 1 is 'w_in'"),
         (_drop_byte_length, "tensor 0 is"),
         (_rename_extras, "lacks the training extras"),
+        (_set_extra("norm_mean", [0.0]), "extras norm_mean must be 2 finite numbers"),
+        (_set_extra("norm_mean", ["x", 1]), "extras norm_mean must be 2 finite numbers"),
+        (_set_extra("norm_std", [1.0, -1.0]), "extras norm_std must be positive"),
+        (_set_extra("norm_std", [0.0, 1.0]), "extras norm_std must be positive"),
+        (_set_extra("norm_std", [float("nan"), 1.0]), "extras norm_std must be 2 finite numbers"),
+        (_set_extra("metrics_scale", "bogus"), "extras metrics_scale must be one of"),
     ],
-    ids=["non-object manifest", "invalid config", "entry is a string", "entry lacks byte_length", "no extras key"],
+    ids=["non-object manifest", "invalid config", "entry is a string", "entry lacks byte_length", "no extras key",
+         "norm_mean too short", "norm_mean not numbers", "negative norm_std", "zero norm_std", "nan norm_std",
+         "unknown metrics_scale"],
 )
 def test_malformed_manifest_exits_1(trained, tmp_path, capsys, mutate, message):
     raw = trained.ckpt.read_bytes()

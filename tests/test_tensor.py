@@ -24,6 +24,7 @@ from scinet.tensor import (
     slice_time,
     sub,
     sum_all,
+    _taps,
 )
 
 
@@ -219,8 +220,8 @@ class TestConv1d:
         batch=st.integers(1, 3),
         in_ch=st.integers(1, 4),
         out_ch=st.integers(1, 4),
-        k=st.sampled_from([1, 3, 5, 7]),
-        n=st.integers(1, 12),
+        k=st.sampled_from([1, 3, 5, 7, 9]),
+        n=st.integers(1, 40),
         seed=st.integers(0, 10_000),
     )
     @settings(max_examples=80, deadline=None)
@@ -254,6 +255,23 @@ class TestConv1d:
         npt.assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-12)
         npt.assert_allclose(w.grad, gw, rtol=1e-12, atol=1e-12)
         npt.assert_allclose(b.grad, probe.sum(axis=(0, 2)), rtol=1e-12, atol=1e-12)
+
+    def test_rule_keeps_only_its_inputs_arrays(self):
+        # the tape holds no conv1d buffer: the backward rule's closure reaches
+        # no array other than the input's and the kernel's own
+        rng = np.random.default_rng(4)
+        x, w, b = leaf(rng.normal(size=(2, 3, 6))), leaf(rng.normal(size=(4, 3, 5))), leaf(np.zeros(4))
+        with Tape() as tape:
+            conv1d(x, w, b)
+        cells = [cell.cell_contents for cell in tape.nodes[-1].rule.__closure__]
+        assert cells and all(c is x.data or c is w.data for c in cells)
+
+    def test_tap_indices_are_cached_read_only(self):
+        channel_major, time_major = _taps(6, 5)
+        assert _taps(6, 5)[0] is channel_major
+        for index in (channel_major, time_major):
+            with pytest.raises(ValueError):
+                index[0] = 1
 
 
 class TestLinear:
