@@ -166,6 +166,14 @@ def _load_frame(path: str, timestamp_column: str) -> TimeSeriesFrame:
     return frame
 
 
+def _windows(frame: TimeSeriesFrame, values: np.ndarray, segments, look_back: int, horizon: int):
+    """One WindowDataset per segment; with rejected rows, the windows spanning them are left out."""
+    sets = [WindowDataset(values, s, look_back, horizon, frame.rows) for s in segments]
+    if frame.rejected_rows:
+        print(f"excluded_windows={sum(ds.excluded for ds in sets)}", file=sys.stderr)
+    return sets
+
+
 def _train_once(cfg: RunConfig, log=None):
     frame = _load_frame(cfg.data_path, cfg.timestamp_column)
     # surface hyperparameter contradictions before any windowing complaints
@@ -174,7 +182,7 @@ def _train_once(cfg: RunConfig, log=None):
     ranges = split(frame, SplitSpec.parse(cfg.split))
     stats = fit_normalizer(frame, ranges[0])
     values = stats.apply(frame.values)
-    train_ds, val_ds, test_ds = (WindowDataset(values, r, cfg.look_back, cfg.horizon) for r in ranges)
+    train_ds, val_ds, test_ds = _windows(frame, values, ranges, cfg.look_back, cfg.horizon)
     model = build_model(model_cfg)
     result = fit(model, train_ds, val_ds, cfg.train_config(), log=log)
     return frame, stats, model, result, (train_ds, val_ds, test_ds)
@@ -233,7 +241,7 @@ def _restore(checkpoint: str, data: str):
     )
     if not np.all(stats.std > 0.0):
         raise CheckpointError(f"checkpoint {checkpoint} extras norm_std must be positive, got {extras['norm_std']!r}")
-    scale = extras.get("metrics_scale", "normalized")
+    scale = extras.setdefault("metrics_scale", "normalized")
     if scale not in SCALES:
         raise CheckpointError(f"checkpoint {checkpoint} extras metrics_scale must be one of {SCALES}, got {scale!r}")
     frame = _load_frame(data, extras["timestamp_column"])
@@ -246,8 +254,8 @@ def cmd_eval(args) -> int:
     model, extras, stats, frame, values = _restore(args.checkpoint, args.data)
     ranges = split(frame, SplitSpec.parse(extras["split"]))
     cfg = model.config
-    test_ds = WindowDataset(values, ranges[2], cfg.look_back, cfg.horizon)
-    scale = args.scale or extras.get("metrics_scale", "normalized")
+    [test_ds] = _windows(frame, values, ranges[2:], cfg.look_back, cfg.horizon)
+    scale = args.scale or extras["metrics_scale"]
     report = compute_metrics(*_in_scale(stats, scale, *predict_windows(model, test_ds)))
     lines = [f"scale={scale}"] + report.as_lines()
     for line in lines:
@@ -260,12 +268,13 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model, extras, stats, frame, values = _restore(args.checkpoint, args.data)
     cfg = model.config
-    dataset = WindowDataset(values, (0, frame.length), cfg.look_back, cfg.horizon)
-    scale = args.scale or extras.get("metrics_scale", "normalized")
+    [dataset] = _windows(frame, values, [(0, frame.length)], cfg.look_back, cfg.horizon)
+    scale = args.scale or extras["metrics_scale"]
     pred, truth = _in_scale(stats, scale, *predict_windows(model, dataset))
     windows, variates, horizon = pred.shape
     # rows run window, step, variate, so the values are read in that order too
     index = np.indices((windows, horizon, variates)).reshape(3, -1)
+    index[0] = dataset.starts[index[0]]  # a window's id is its first kept row, so excluded ids are skipped
     index[1] += 1  # steps count from 1
     values = (a.swapaxes(1, 2).ravel().tolist() for a in (truth, pred))
     with open(args.emit, "w", newline="") as fh:
@@ -352,17 +361,11 @@ def main(argv: list[str] | None = None) -> int:
     args, extra = parser.parse_known_args(argv)
     try:
         if args.command in ("train", "ablate"):
-            overrides = parse_overrides(extra)
-            return cmd_train(args, overrides) if args.command == "train" else cmd_ablate(args, overrides)
+            run = cmd_train if args.command == "train" else cmd_ablate
+            return run(args, parse_overrides(extra))
         if extra:
             raise ConfigError(f"unexpected arguments: {' '.join(extra)}")
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "predict":
-            return cmd_predict(args)
-        if args.command == "pe":
-            return cmd_pe(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return {"eval": cmd_eval, "predict": cmd_predict, "pe": cmd_pe}[args.command](args)
     except (ConfigError, DimensionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

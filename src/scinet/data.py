@@ -23,6 +23,7 @@ class TimeSeriesFrame:
     variate_names: list[str]
     timestamps: list[str] | None = None
     rejected_rows: int = 0
+    rows: np.ndarray | None = None  # each row's number in its file, as load_csv counts rows; None: no gaps
 
     @property
     def length(self) -> int:
@@ -37,8 +38,9 @@ def load_csv(path: str, timestamp_column: str | None = "date") -> TimeSeriesFram
     """Read a headered CSV of float columns, keeping one column as timestamps.
 
     A row containing NaN or infinity in any variate is dropped and counted in
-    ``rejected_rows``; an unparseable cell is an error naming its row and
-    column. ``timestamp_column=None`` treats every column as a variate.
+    ``rejected_rows``, and ``rows`` then keeps each kept row's number, so
+    windows can skip the gap; an unparseable cell is an error naming its row
+    and column. ``timestamp_column=None`` treats every column as a variate.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -58,7 +60,7 @@ def load_csv(path: str, timestamp_column: str | None = "date") -> TimeSeriesFram
         raise ConfigError(f"no variate columns in {path}")
     timestamps: list[str] | None = [] if ts_idx is not None else None
     kept: list[list[float]] = []
-    rejected = 0
+    rejected: list[int] = []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ConfigError(f"{path} row {r}: expected {len(header)} cells, got {len(row)}")
@@ -73,7 +75,7 @@ def load_csv(path: str, timestamp_column: str | None = "date") -> TimeSeriesFram
                     f"{path} row {r}, column {header[i]!r}: cannot parse {cell.strip()!r} as a number"
                 ) from None
         if any(math.isnan(v) or math.isinf(v) for v in vals):
-            rejected += 1
+            rejected.append(r)
             continue
         kept.append(vals)
         if timestamps is not None:
@@ -84,7 +86,8 @@ def load_csv(path: str, timestamp_column: str | None = "date") -> TimeSeriesFram
         values=np.asarray(kept, dtype=np.float64),
         variate_names=variate_names,
         timestamps=timestamps,
-        rejected_rows=rejected,
+        rejected_rows=len(rejected),
+        rows=np.delete(np.arange(2, len(rows) + 1), np.subtract(rejected, 2)) if rejected else None,
     )
 
 
@@ -214,34 +217,42 @@ class WindowDataset:
 
     Window i uses rows [start+i, start+i+look_back) as input and the
     following ``horizon`` rows as target, stride 1, never crossing the
-    segment boundary. The windows are a strided (window, variate, time) view
-    of the series, not a copy of it.
+    segment boundary. Given ``rows`` (``TimeSeriesFrame.rows``), a window
+    whose rows are not consecutive in the file is excluded and counted in
+    ``excluded``. The windows are a strided (window, variate, time) view of
+    the series, not a copy of it.
     """
 
-    def __init__(self, values: np.ndarray, segment: tuple[int, int], look_back: int, horizon: int):
+    def __init__(self, values: np.ndarray, segment: tuple[int, int], look_back: int, horizon: int,
+                 rows: np.ndarray | None = None):
         start, stop = segment
         if not (0 <= start < stop <= values.shape[0]):
             raise ConfigError(f"segment {segment} out of range for {values.shape[0]} rows")
-        if stop - start < look_back + horizon:
-            raise ConfigError(
-                f"segment of {stop - start} rows is shorter than look_back + horizon = {look_back + horizon}"
-            )
+        size = look_back + horizon
+        if stop - start < size:
+            raise ConfigError(f"segment of {stop - start} rows is shorter than look_back + horizon = {size}")
         self.look_back = look_back
-        self.windows = np.lib.stride_tricks.sliding_window_view(values[start:stop], look_back + horizon, axis=0)
+        self.windows = np.lib.stride_tricks.sliding_window_view(values[start:stop], size, axis=0)
+        self.starts = np.arange(len(self.windows))
+        if rows is not None:
+            self.starts = np.flatnonzero(rows[start + size - 1:stop] - rows[start:stop - size + 1] == size - 1)
+        self.excluded = len(self.windows) - len(self.starts)
+        if not len(self.starts):
+            raise ConfigError(f"every window of segment {segment} spans a rejected row")
 
     def __len__(self) -> int:
-        return self.windows.shape[0]
+        return len(self.starts)
 
     def sample(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Window i as (time, variate) input and target views."""
         if not 0 <= i < len(self):
             raise ConfigError(f"window index {i} out of range [0, {len(self)})")
-        rows = self.windows[i].T
+        rows = self.windows[self.starts[i]].T
         return rows[:self.look_back], rows[self.look_back:]
 
     def gather(self, indices: np.ndarray) -> tuple[Tensor, Tensor]:
         """Assemble (batch, variates, time) input and target tensors."""
-        batch = self.windows[indices]
+        batch = self.windows[self.starts[indices]]
         return Tensor(batch[..., :self.look_back]), Tensor(batch[..., self.look_back:])
 
 

@@ -11,7 +11,7 @@ score is invariant under any strictly increasing transform of the values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,15 +33,7 @@ class MetricReport:
     variates: int
 
     def as_lines(self) -> list[str]:
-        return [
-            f"mae={self.mae!r}",
-            f"mse={self.mse!r}",
-            f"rmse={self.rmse!r}",
-            f"mape={self.mape!r}",
-            f"window_count={self.window_count}",
-            f"horizon={self.horizon}",
-            f"variates={self.variates}",
-        ]
+        return [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
 
 
 def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> MetricReport:

@@ -101,16 +101,14 @@ def realign(parts: list[Tensor]) -> Tensor:
     """Inverse of repeated even/odd splitting.
 
     ``parts`` holds 2^L equal-shape sub-sequences in tree order (even branch
-    first at every level); the result restores original time order by
-    interleaving pairs bottom-up.
+    first at every level), so leaf i holds the steps whose index mod 2^L is
+    i with its L bits reversed; one interleave restores original time order.
     """
     count = len(parts)
     if count < 1 or count & (count - 1) != 0:
         raise DimensionError(f"realign needs a power-of-two part count, got {count}")
-    if count == 1:
-        return parts[0]
-    half = count // 2
-    return interleave_time(realign(parts[:half]), realign(parts[half:]))
+    bits = count.bit_length() - 1
+    return interleave_time(*(parts[int(f"{j:0{bits}b}"[::-1], 2)] for j in range(count)))
 
 
 class SCIBlock:

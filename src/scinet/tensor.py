@@ -302,18 +302,17 @@ def slice_time(x: Tensor, start: int, stop: int | None = None, step: int = 1) ->
     return _emit(out, (x,), rule)
 
 
-def interleave_time(even: Tensor, odd: Tensor) -> Tensor:
-    """Merge two equal-shape tensors so even lands at indices 0,2,4,... of the last axis."""
-    _same_shape(even, odd, "interleave_time")
-    n = even.data.shape[-1]
-    out = np.empty(even.data.shape[:-1] + (2 * n,))
-    out[..., 0::2] = even.data
-    out[..., 1::2] = odd.data
+def interleave_time(*parts: Tensor) -> Tensor:
+    """Merge k equal-shape tensors so part j lands at indices j, j+k, j+2k, ... of the last axis."""
+    for p in parts[1:]:
+        _same_shape(parts[0], p, "interleave_time")
+    k = len(parts)
+    out = np.stack([p.data for p in parts], axis=-1).reshape(parts[0].data.shape[:-1] + (-1,))
 
     def rule(g):
-        return np.ascontiguousarray(g[..., 0::2]), np.ascontiguousarray(g[..., 1::2])
+        return tuple(np.ascontiguousarray(g[..., j::k]) for j in range(k))
 
-    return _emit(out, (even, odd), rule)
+    return _emit(out, parts, rule)
 
 
 def concat_time(a: Tensor, b: Tensor) -> Tensor:

@@ -132,6 +132,13 @@ class TestResolveConfig:
         with pytest.raises(ConfigError):
             resolve_config({"split": "ratio:1"}, {}, env={})
 
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), (" TRUE ", True), ("1", True), ("Yes", True),
+        ("false", False), (" False", False), ("0", False), ("NO ", False),
+    ])
+    def test_bool_spellings(self, text, value):
+        assert resolve_config({"no_decoder": text}, {}, env={}).no_decoder is value
+
     def test_config_hash_tracks_content(self):
         a = resolve_config({}, {}, env={})
         b = resolve_config({"lr": "0.002"}, {}, env={})
@@ -218,6 +225,27 @@ class TestTrainCommand:
         rc = main(["train", str(cfg)])
         assert rc == 2
         assert "data_path" in capsys.readouterr().err
+
+
+def test_rejected_rows_leave_their_windows_out(tmp_path, capsys):
+    data = tmp_path / "gaps.csv"
+    frame = write_dataset(data)
+    frame.values[50, 0] = np.nan
+    frame.values[90, 1] = np.inf
+    write_csv(frame, data)
+    ckpt = tmp_path / "m.ckpt"
+    # 118 rows kept; ratio:6,2,2 puts the gaps after kept rows 49 and 88 in train and validation
+    assert main(["train", str(write_config(tmp_path / "r.cfg", data, ckpt, epochs=1))]) == 0
+    assert capsys.readouterr().err.splitlines() == ["rejected_rows=2", "excluded_windows=17"]
+    # look_back + horizon = 12, so each gap leaves 11 of the 107 windows out
+    assert main(["predict", str(ckpt), str(data), "--emit", str(tmp_path / "f.csv")]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ["rejected_rows=2", "excluded_windows=22"]
+    assert out.startswith("windows=85 ")
+    with open(tmp_path / "f.csv", newline="") as fh:
+        ids = sorted({int(row["window_id"]) for row in csv.DictReader(fh)})
+    # a window starting at kept row i reads kept rows i..i+11; the gaps follow kept rows 49 and 88
+    assert ids == [i for i in range(107) if not (39 <= i <= 49 or 78 <= i <= 88)]
 
 
 class TestEvalCommand:

@@ -313,6 +313,49 @@ class TestWindowDataset:
             ds.sample(len(ds))
 
 
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("gaps")
+
+
+class TestRowGaps:
+    @given(
+        n=st.integers(2, 40), look_back=st.integers(1, 5), horizon=st.integers(1, 3), data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_no_window_straddles_a_rejected_row(self, csv_dir, n, look_back, horizon, data):
+        # each row holds its own position in the file, so a window's values show the rows it read
+        bad = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1), label="bad")
+        path = csv_dir / "gaps.csv"
+        write_lines(path, ["u"] + ["nan" if r in bad else f"{r}.0" for r in range(n)])
+        frame = load_csv(path, timestamp_column=None)
+        assert frame.rejected_rows == len(bad)
+        size = look_back + horizon
+        if frame.length < size:
+            return
+        start = data.draw(st.integers(0, frame.length - size), label="start")
+        stop = data.draw(st.integers(start + size, frame.length), label="stop")
+        firsts = frame.values[start:stop - size + 1, 0]
+        clean = [f for f in firsts if not bad & set(range(int(f), int(f) + size))]
+        if not clean:
+            with pytest.raises(ConfigError, match="rejected row"):
+                WindowDataset(frame.values, (start, stop), look_back, horizon, frame.rows)
+            return
+        ds = WindowDataset(frame.values, (start, stop), look_back, horizon, frame.rows)
+        x, y = ds.gather(np.arange(len(ds)))
+        read = np.concatenate([x.data, y.data], axis=-1)[:, 0, :]
+        npt.assert_array_equal(read, np.add.outer(clean, np.arange(size)))
+        assert ds.excluded == len(firsts) - len(clean)
+
+    def test_gap_free_rows_change_nothing(self):
+        values = np.random.default_rng(0).normal(size=(30, 2))
+        plain = WindowDataset(values, (3, 30), look_back=4, horizon=2)
+        ranked = WindowDataset(values, (3, 30), look_back=4, horizon=2, rows=np.arange(2, 32))
+        assert len(ranked) == len(plain) and ranked.excluded == 0
+        idx = np.arange(len(plain))
+        assert ranked.gather(idx)[0].data.tobytes() == plain.gather(idx)[0].data.tobytes()
+
+
 class TestBatchIter:
     @staticmethod
     def dataset(n=10):

@@ -114,6 +114,13 @@ class TestSplitRealign:
         out = realign(tree_split(x, levels))
         npt.assert_array_equal(out.data, x.data)
 
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_realign_records_one_tape_node(self, levels):
+        parts = [Tensor(np.zeros((1, 1, 2)), requires_grad=True) for _ in range(1 << levels)]
+        with Tape() as tape:
+            realign(parts)
+        assert len(tape.nodes) == 1
+
     def test_realign_gradient_is_permutation(self):
         x = Tensor(np.random.default_rng(0).normal(size=(1, 1, 8)), requires_grad=True)
         probe = Tensor(np.arange(8.0).reshape(1, 1, 8))

@@ -330,6 +330,20 @@ class TestReshapingOps:
         odd = slice_time(x, 1, None, 2)
         npt.assert_array_equal(interleave_time(even, odd).data, x.data)
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_interleave_k_parts_values(self, k):
+        # part j of [0, 1, ..., 6k-1] split k ways holds j, j+k, j+2k, ...
+        x = np.arange(6.0 * k).reshape(1, 2, 3 * k)
+        out = interleave_time(*(leaf(x[..., j::k]) for j in range(k)))
+        npt.assert_array_equal(out.data, x)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_interleave_k_parts_gradient(self, k):
+        rng = np.random.default_rng(k)
+        parts = [leaf(rng.normal(size=(2, 3, 4))) for _ in range(k)]
+        probe = Tensor(rng.normal(size=(2, 3, 4 * k)))
+        assert finite_diff_check(lambda: sum_all(mul(interleave_time(*parts), probe)), parts) < 1e-6
+
     def test_concat_and_gradient(self):
         a = leaf(np.array([1.0, 2.0]))
         b = leaf(np.array([3.0, 4.0, 5.0]))
