@@ -16,6 +16,13 @@ tree levels' lengths at look-back 48 and below) and batch in {32, 256}
 (training and inference batches). Long rows add d = 7 at batch 32 with n in
 {96, 360} (the first levels at look-backs 192 and 720), so a cost that grows
 faster than linearly in n shows.
+
+Grouped rows are the level-batched tree's shapes at look-back 48: a level's
+grouped module call over G in {2, 4, 8, 16} groups at n = 48 / G, for the same
+channel pairs at batch 32 (training) and 64 (inference). Each times forward
+plus backward as G separate 3-d calls ("sep") and, in a tree whose conv1d
+takes a group axis, as one grouped call ("grp"), and counts the minor page
+faults per call ("_faults" keys; the others are microseconds per call).
 """
 
 import argparse
@@ -32,6 +39,32 @@ LOOP_S = 0.01
 KERNEL = 5
 GRID = [(b, c, o, n) for b in (32, 256) for d in (3, 21) for c, o in ((d, 2 * d), (2 * d, d)) for n in (3, 6, 24)]
 GRID += [(32, c, o, n) for c, o in ((7, 14), (14, 7)) for n in (96, 360)]
+GROUPED = [(b, g, c, o, 48 // g) for b in (32, 64) for d in (3, 21) for c, o in ((d, 2 * d), (2 * d, d))
+           for g in (2, 4, 8, 16)]
+
+
+def _per_call(fn) -> float:
+    """Median seconds per call over REPEATS loops of about LOOP_S each."""
+    t0 = time.perf_counter()
+    fn()
+    calls = max(1, int(LOOP_S / (time.perf_counter() - t0)))
+    loops = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        loops.append((time.perf_counter() - t0) / calls)
+    return statistics.median(loops)
+
+
+def _faults_per_call(fn, calls: int = 20) -> float:
+    import resource
+
+    fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
 
 
 def worker() -> None:
@@ -54,16 +87,26 @@ def worker() -> None:
             tensor.backward(loss, tape)
 
         for mode, fn in (("fwd", forward), ("fwd_bwd", forward_backward)):
-            t0 = time.perf_counter()
-            fn()
-            calls = max(1, int(LOOP_S / (time.perf_counter() - t0)))
-            loops = []
-            for _ in range(REPEATS):
-                t0 = time.perf_counter()
-                for _ in range(calls):
-                    fn()
-                loops.append((time.perf_counter() - t0) / calls)
-            out[f"b{batch}_c{in_ch}_o{out_ch}_n{n}_{mode}"] = statistics.median(loops) * 1e6
+            out[f"b{batch}_c{in_ch}_o{out_ch}_n{n}_{mode}"] = _per_call(fn) * 1e6
+    for batch, groups, in_ch, out_ch, n in GROUPED:
+        xs = rng.normal(size=(groups, batch, in_ch, n))
+        ws, bs = rng.normal(size=(groups, out_ch, in_ch, KERNEL)), rng.normal(size=(groups, out_ch))
+
+        def run(x, w, b):
+            x, w, b = (tensor.Tensor(a, requires_grad=True) for a in (x, w, b))
+            with tensor.Tape() as tape:
+                loss = tensor.sum_all(tensor.conv1d(x, w, b))
+            tensor.backward(loss, tape)
+
+        modes = {"sep": lambda: [run(x, w, b) for x, w, b in zip(xs, ws, bs)], "grp": lambda: run(xs, ws, bs)}
+        try:
+            modes["grp"]()
+        except tensor.DimensionError:  # a tree whose conv1d has no group axis
+            del modes["grp"]
+        for mode, fn in modes.items():
+            key = f"b{batch}_g{groups}_c{in_ch}_o{out_ch}_n{n}_{mode}_fwd_bwd"
+            out[key] = _per_call(fn) * 1e6
+            out[key + "_faults"] = _faults_per_call(fn)
     print(json.dumps(out))
 
 
@@ -101,7 +144,9 @@ def main() -> None:
         result[src] = {}
         for key in rounds[0]:
             q1, med, q3 = statistics.quantiles([run[key] for run in rounds], n=4, method="inclusive")
-            result[src][key] = {"median_us": round(med, 1), "q1_us": round(q1, 1), "q3_us": round(q3, 1)}
+            unit = "faults" if key.endswith("_faults") else "us"
+            result[src][key] = {f"median_{unit}": round(med, 1), f"q1_{unit}": round(q1, 1),
+                                f"q3_{unit}": round(q3, 1)}
     print(json.dumps({"machine": machine(), "rounds": args.rounds, "repeats": REPEATS, "kernel": KERNEL,
                       "timings": result}, indent=1))
 

@@ -285,15 +285,24 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _gap_free(frame: TimeSeriesFrame, path: str) -> None:
+    # ordinal patterns of the compacted series would run across the dropped rows
+    if frame.rows is not None:
+        raise ConfigError(f"{path} row {frame.first_rejected_line} holds NaN or inf "
+                          f"({frame.rejected_rows} such rows); permutation entropy needs consecutive rows")
+
+
 def cmd_pe(args) -> int:
     pe_cfg = PEConfig(order=args.order, lag=args.lag)
     if args.checkpoint:
         model, extras, stats, frame, values = _restore(args.checkpoint, args.data)
+        _gap_free(frame, args.data)
         report = pe_report(model, values, pe_cfg)
         for line in report.as_lines(frame.variate_names):
             print(line)
     else:
         frame = _load_frame(args.data, args.timestamp_column)
+        _gap_free(frame, args.data)
         scores = [permutation_entropy(frame.values[:, v], pe_cfg) for v in range(frame.n_variates)]
         for name, score in zip(frame.variate_names, scores):
             print(f"pe_original_{name}={score!r}")

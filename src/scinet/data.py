@@ -23,7 +23,8 @@ class TimeSeriesFrame:
     variate_names: list[str]
     timestamps: list[str] | None = None
     rejected_rows: int = 0
-    rows: np.ndarray | None = None  # each row's number in its file, as load_csv counts rows; None: no gaps
+    rows: np.ndarray | None = None  # each kept row's number among the file's non-blank rows; None: no gaps
+    first_rejected_line: int | None = None  # file line of the first row dropped for NaN/inf
 
     @property
     def length(self) -> int:
@@ -40,11 +41,11 @@ def load_csv(path: str, timestamp_column: str | None = "date") -> TimeSeriesFram
     A row containing NaN or infinity in any variate is dropped and counted in
     ``rejected_rows``, and ``rows`` then keeps each kept row's number, so
     windows can skip the gap; an unparseable cell is an error naming its row
-    and column. ``timestamp_column=None`` treats every column as a variate.
+    and column by its line in the file (blank lines are skipped but counted).
+    ``timestamp_column=None`` treats every column as a variate.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
+        rows = [r for r in csv.reader(fh) if r]  # a blank line is neither a row nor a gap
     if not rows:
         raise ConfigError(f"empty csv file: {path}")
     header = [c.strip() for c in rows[0]]
@@ -63,7 +64,7 @@ def load_csv(path: str, timestamp_column: str | None = "date") -> TimeSeriesFram
     rejected: list[int] = []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise ConfigError(f"{path} row {r}: expected {len(header)} cells, got {len(row)}")
+            raise ConfigError(f"{path} row {_file_line(path, r)}: expected {len(header)} cells, got {len(row)}")
         vals = []
         for i, cell in enumerate(row):
             if i == ts_idx:
@@ -72,7 +73,7 @@ def load_csv(path: str, timestamp_column: str | None = "date") -> TimeSeriesFram
                 vals.append(float(cell))
             except ValueError:
                 raise ConfigError(
-                    f"{path} row {r}, column {header[i]!r}: cannot parse {cell.strip()!r} as a number"
+                    f"{path} row {_file_line(path, r)}, column {header[i]!r}: cannot parse {cell.strip()!r} as a number"
                 ) from None
         if any(math.isnan(v) or math.isinf(v) for v in vals):
             rejected.append(r)
@@ -88,7 +89,18 @@ def load_csv(path: str, timestamp_column: str | None = "date") -> TimeSeriesFram
         timestamps=timestamps,
         rejected_rows=len(rejected),
         rows=np.delete(np.arange(2, len(rows) + 1), np.subtract(rejected, 2)) if rejected else None,
+        first_rejected_line=_file_line(path, rejected[0]) if rejected else None,
     )
+
+
+def _file_line(path: str, row: int) -> int:
+    """The file line of the ``row``-th non-blank csv row (the header is row 1), counting blank lines."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for count, _ in enumerate(filter(None, reader), start=1):
+            if count == row:
+                return reader.line_num
+    raise ValueError(f"{path} has fewer than {row} rows")
 
 
 def _parses_as_float(cell: str) -> bool:

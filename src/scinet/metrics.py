@@ -16,10 +16,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DimensionError
+from .model import INFERENCE_BATCH
 from .tensor import Tensor
 
 MAPE_FLOOR = 1e-8
-PE_BATCH = 64  # look-back tiles per forward pass in pe_report
 
 
 @dataclass
@@ -132,7 +132,7 @@ def pe_report(model, values: np.ndarray, cfg: PEConfig) -> PEReport:
         raise ConfigError(f"need at least {look_back} rows for one window, got {values.shape[0]}")
     used = values[: tiles * look_back]
     batches = used.reshape(tiles, look_back, n_var).transpose(0, 2, 1)  # (tiles, variates, time)
-    reps = [model.representation(Tensor(batches[at:at + PE_BATCH])).data for at in range(0, tiles, PE_BATCH)]
+    reps = [model.representation(Tensor(batches[at:at + INFERENCE_BATCH])).data for at in range(0, tiles, INFERENCE_BATCH)]
     enhanced_series = np.concatenate(reps, axis=0).transpose(1, 0, 2).reshape(n_var, tiles * look_back)
     original_series = used.T
     original = np.array([permutation_entropy(original_series[v], cfg) for v in range(n_var)])

@@ -24,15 +24,18 @@ from .tensor import (
     add,
     concat_time,
     exp,
+    gather_groups,
     interleave_time,
     mean_all,
     mul,
     slice_time,
     sub,
+    ungroup_time,
 )
 
 SIGNS = ("add", "sub")
-ROLES = ("scale_for_odd", "scale_for_even", "correct_odd", "correct_even")  # SCIBlock's modules, in order
+ROLES = ("scale_for_odd", "scale_for_even", "correct_odd", "correct_even")  # a block's modules, in order
+INFERENCE_BATCH = 64  # windows per untaped forward pass (predict_windows, pe_report): level arrays stay in L2
 
 
 @dataclass
@@ -97,74 +100,132 @@ def split_even_odd(x: Tensor) -> tuple[Tensor, Tensor]:
     return slice_time(x, 0, None, 2), slice_time(x, 1, None, 2)
 
 
-def realign(parts: list[Tensor]) -> Tensor:
+def realign(parts: Tensor | list[Tensor]) -> Tensor:
     """Inverse of repeated even/odd splitting.
 
     ``parts`` holds 2^L equal-shape sub-sequences in tree order (even branch
-    first at every level), so leaf i holds the steps whose index mod 2^L is
-    i with its L bits reversed; one interleave restores original time order.
+    first at every level), as a list or as one tensor's leading axis, so leaf
+    i holds the steps whose index mod 2^L is i with its L bits reversed; one
+    interleave restores original time order.
     """
-    count = len(parts)
+    count = parts.shape[0] if isinstance(parts, Tensor) else len(parts)
     if count < 1 or count & (count - 1) != 0:
         raise DimensionError(f"realign needs a power-of-two part count, got {count}")
     bits = count.bit_length() - 1
-    return interleave_time(*(parts[int(f"{j:0{bits}b}"[::-1], 2)] for j in range(count)))
+    order = [int(f"{j:0{bits}b}"[::-1], 2) for j in range(count)]
+    if isinstance(parts, Tensor):
+        return ungroup_time(parts, order)
+    return interleave_time(*(parts[i] for i in order))
+
+
+def _children(groups: int, swapped: bool) -> np.ndarray:
+    """Rows of a level's output [first half of every block; second half] put in tree order: child
+    2g takes block g's even half, 2g+1 its odd half. ``swapped``: the odd halves come first."""
+    halves = np.arange(2 * groups).reshape(2, groups)
+    return (halves[::-1] if swapped else halves).T.ravel()
 
 
 class SCIBlock:
-    """One split-and-interact unit.
+    """The split-and-interact units of one tree level, run as one grouped step.
 
-    The even half produces a multiplicative scale (through exp) for the odd
-    half and vice versa; each scaled half then receives an additive or
-    subtractive correction computed from the other. ``no_interlearn`` removes
-    the coupling entirely: each half just runs through its own two modules.
+    Level l applies G = 2^(l-1) blocks to disjoint sub-sequences of one length,
+    held as one (G, batch, C, n) tensor (the tree's input, (batch, C, n), is
+    one group). In each block the even half produces a multiplicative scale
+    (through exp) for the odd half and vice versa; each scaled half then
+    receives an additive or subtractive correction computed from the other.
+    ``scale`` is one grouped module over 2G groups holding the G blocks'
+    scale_for_odd modules, then their scale_for_even modules; ``correct``
+    holds correct_odd, then correct_even. Under weight sharing both are the
+    level's G shared modules. ``no_interlearn`` removes the coupling entirely:
+    each half just runs through its own two modules. The output holds the
+    2G halves in tree order: (2G, batch, C, n/2).
     """
 
-    def __init__(
-        self,
-        scale_for_odd: InteractionModule,
-        scale_for_even: InteractionModule,
-        correct_odd: InteractionModule,
-        correct_even: InteractionModule,
-        sign: str,
-        no_interlearn: bool,
-    ):
-        self.scale_for_odd = scale_for_odd
-        self.scale_for_even = scale_for_even
-        self.correct_odd = correct_odd
-        self.correct_even = correct_even
+    def __init__(self, scale: InteractionModule, correct: InteractionModule, sign: str, no_interlearn: bool):
+        self.scale = scale
+        self.correct = correct
         self.sign = sign
         self.no_interlearn = no_interlearn
 
-    def forward(
-        self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None
-    ) -> tuple[Tensor, Tensor]:
+    def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         even, odd = split_even_odd(x)
-        if self.no_interlearn:
-            new_odd = self.correct_odd.forward(self.scale_for_odd.forward(odd, training, rng), training, rng)
-            new_even = self.correct_even.forward(self.scale_for_even.forward(even, training, rng), training, rng)
-            return new_even, new_odd
-        scaled_odd = mul(odd, exp(self.scale_for_odd.forward(even, training, rng)))
-        scaled_even = mul(even, exp(self.scale_for_even.forward(odd, training, rng)))
-        op = add if self.sign == "add" else sub
-        new_odd = op(scaled_odd, self.correct_odd.forward(scaled_even, training, rng))
-        new_even = op(scaled_even, self.correct_even.forward(scaled_odd, training, rng))
-        return new_even, new_odd
+        groups = 1 if x.data.ndim == 3 else x.shape[0]
+        if self.no_interlearn:  # [scale_for_odd(odd); scale_for_even(even)], then the corrections
+            halves = gather_groups((odd, even))
+            new = self.correct.forward(self.scale.forward(halves, training, rng), training, rng)
+            return gather_groups((new,), _children(groups, swapped=True))
+        swap = np.roll(np.arange(2 * groups), groups)
+        halves = gather_groups((even, odd))
+        # [scale_for_odd(even); scale_for_even(odd)], swapped to pair each scale with its half
+        scaled = mul(halves, exp(gather_groups((self.scale.forward(halves, training, rng),), swap)))
+        # [correct_odd(scaled_even); correct_even(scaled_odd)], swapped likewise
+        corrections = gather_groups((self.correct.forward(scaled, training, rng),), swap)
+        new = add(scaled, corrections) if self.sign == "add" else sub(scaled, corrections)
+        return gather_groups((new,), _children(groups, swapped=False))
 
 
 class _TreeNode:
-    __slots__ = ("block", "even_child", "odd_child")
+    """One tree level: its grouped block, then the next level's node (None at the deepest)."""
 
-    def __init__(self, block: SCIBlock, even_child: "_TreeNode | None", odd_child: "_TreeNode | None"):
+    __slots__ = ("block", "child")
+
+    def __init__(self, block: SCIBlock, child: "_TreeNode | None"):
         self.block = block
-        self.even_child = even_child
-        self.odd_child = odd_child
+        self.child = child
 
-    def forward(self, x: Tensor, training: bool, rng) -> list[Tensor]:
-        even, odd = self.block.forward(x, training, rng)
-        if self.even_child is None:
-            return [even, odd]
-        return self.even_child.forward(even, training, rng) + self.odd_child.forward(odd, training, rng)
+    def forward(self, x: Tensor, training: bool, rng) -> Tensor:
+        out = self.block.forward(x, training, rng)
+        return out if self.child is None else self.child.forward(out, training, rng)
+
+
+def _depth_first(levels: int) -> list[tuple[int, int]]:
+    """(level, index within the level) of every block, depth-first: a block, then its even
+    subtree, then its odd subtree. Child 2g of block g takes its even half, 2g+1 its odd half."""
+    order, todo = [], [(1, 0)]
+    while todo:
+        level, g = todo.pop()
+        order.append((level, g))
+        if level < levels:
+            todo += [(level + 1, 2 * g + 1), (level + 1, 2 * g)]
+    return order
+
+
+class _TreeDraws:
+    """A tree's dropout draws for one training forward, made up front block by block.
+
+    Each block draws for its four module calls in the order it makes them,
+    blocks depth-first, so the rng stream is that of a block-by-block forward.
+    Each draw lands in its block's row of its level's scale or correction
+    array; ``random(shape)`` stands in for the generator's inside
+    ``dropout_forward`` and hands these arrays out in the order the grouped
+    module calls ask for them.
+    """
+
+    def __init__(self, rng: np.random.Generator, config: "ModelConfig", batch: int):
+        hidden = config.n_variates * config.hidden_ratio
+        per_level = [
+            [np.empty((2 << level, batch, hidden, config.look_back >> (level + 1))) for _ in range(2)]
+            for level in range(config.levels)
+        ]
+        for level, g in _depth_first(config.levels):
+            (scale, correct), groups = per_level[level - 1], 1 << (level - 1)
+            calls = ((scale, g), (scale, groups + g), (correct, g), (correct, groups + g))
+            for out, row in (calls[::2] + calls[1::2]) if config.no_interlearn else calls:
+                rng.random(out=out[row])
+        self.pending = [out for pair in per_level for out in pair]
+
+    def random(self, shape: tuple[int, ...]) -> np.ndarray:
+        out = self.pending.pop(0)
+        if out.shape != shape:
+            raise DimensionError(f"dropout draws of shape {out.shape} requested as {shape}")
+        return out
+
+
+def _row(t: Tensor, index: int) -> Tensor:
+    """Row ``index`` of a grouped parameter, sharing its data and any gradient; it is not taped."""
+    view = Tensor._wrap(t.data[index], t.requires_grad)
+    view.grad = None if t.grad is None else t.grad[index]
+    return view
 
 
 class SCINetTree:
@@ -175,43 +236,57 @@ class SCINetTree:
     module zeroed (identity init) each block passes its halves through
     untouched, realignment rebuilds the input exactly, and the residual
     doubles it: the pre-decoder representation is then 2x the input.
+
+    Each level is one ``_TreeNode`` whose ``SCIBlock`` runs all the level's
+    blocks at once, so a level's weights are grouped tensors (slabs) with one
+    row per block and role. Weights are drawn block by block, depth-first,
+    then stacked into the slabs. ``named_rows`` gives each block tensor's
+    name (``stack0/beo/scale_for_odd/w_in``), slab and row, blocks in
+    depth-first order: the checkpoint's order.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator, name: str):
-        self.config = config
-        self._named: list[tuple[str, Tensor]] = []
-        self.root = self._build_node(config, rng, 1, name + "/b")
+        cfg = self.config = config
+        identity = cfg.identity_init and not cfg.no_interlearn
+        roles = ("shared",) if cfg.weight_share else ROLES
+        drawn = {  # the modules of a block first, then the even subtree, then the odd subtree
+            (level, g): [
+                InteractionModule(cfg.n_variates, cfg.hidden_ratio, cfg.kernel_size, cfg.leaky_slope,
+                                  cfg.dropout, rng, identity_init=identity)
+                for _ in roles
+            ]
+            for level, g in _depth_first(cfg.levels)
+        }
+        blocks = []
+        for level in range(1, cfg.levels + 1):
+            mods = [drawn[level, g] for g in range(1 << (level - 1))]
+            if cfg.weight_share:
+                scale = correct = InteractionModule.stacked([m[0] for m in mods])
+            else:
+                scale = InteractionModule.stacked([m[0] for m in mods] + [m[1] for m in mods])
+                correct = InteractionModule.stacked([m[2] for m in mods] + [m[3] for m in mods])
+            blocks.append(SCIBlock(scale, correct, cfg.sign, cfg.no_interlearn))
+        self.root = None
+        for block in reversed(blocks):
+            self.root = _TreeNode(block, self.root)
+        self.named_rows: list[tuple[str, Tensor, int | None]] = []  # name, tensor or slab, slab row
+        for level, g in drawn:
+            block, groups = blocks[level - 1], 1 << (level - 1)
+            path = "b" + "".join("eo"[(g >> bit) & 1] for bit in reversed(range(level - 1)))
+            places = ((block.scale, g),) if cfg.weight_share else (
+                (block.scale, g), (block.scale, groups + g), (block.correct, g), (block.correct, groups + g))
+            for role, (module, row) in zip(roles, places):
+                self.named_rows.extend((f"{name}/{path}/{role}/{p}", getattr(module, p), row) for p in module.PARAMS)
         if config.no_decoder:
             self.decoder = None
         else:
             self.decoder = DecoderLayer(config.look_back, config.horizon, rng)
-            self._named.extend(self.decoder.named_parameters(name + "/decoder"))
-
-    def _build_node(self, cfg: ModelConfig, rng, level: int, name: str) -> _TreeNode:
-        # construction order fixes the rng draw order: the modules of a block
-        # first, then the even subtree, then the odd subtree
-        identity = cfg.identity_init and not cfg.no_interlearn
-        make = lambda: InteractionModule(
-            cfg.n_variates, cfg.hidden_ratio, cfg.kernel_size,
-            cfg.leaky_slope, cfg.dropout, rng, identity_init=identity,
-        )
-        roles = ("shared",) if cfg.weight_share else ROLES
-        modules = [make() for _ in roles]
-        for role, m in zip(roles, modules):
-            self._named.extend(m.named_parameters(f"{name}/{role}"))
-        if cfg.weight_share:
-            modules *= len(ROLES)  # the one module fills every role
-        block = SCIBlock(*modules, sign=cfg.sign, no_interlearn=cfg.no_interlearn)
-        if level == cfg.levels:
-            return _TreeNode(block, None, None)
-        return _TreeNode(
-            block,
-            self._build_node(cfg, rng, level + 1, name + "e"),
-            self._build_node(cfg, rng, level + 1, name + "o"),
-        )
+            self.named_rows.extend((n, t, None) for n, t in self.decoder.named_parameters(name + "/decoder"))
 
     def representation(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         """The realigned leaves plus, unless ``no_residual``, the input: what the decoder reads."""
+        if training and rng is not None and self.config.dropout > 0.0:
+            rng = _TreeDraws(rng, self.config, x.shape[0])
         rep = realign(self.root.forward(x, training, rng))
         return rep if self.config.no_residual else add(rep, x)
 
@@ -220,9 +295,6 @@ class SCINetTree:
         if self.decoder is None:
             return slice_time(rep, self.config.look_back - self.config.horizon, self.config.look_back)
         return self.decoder.forward(rep)
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self._named)
 
 
 class StackedSCINet:
@@ -261,10 +333,16 @@ class StackedSCINet:
         return self.trees[0].representation(x)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [pair for tree in self.trees for pair in tree.named_parameters()]
+        """Each block's tensors in checkpoint order; a slab row is a view of the slab's current data."""
+        return [(name, t if row is None else _row(t, row)) for tree in self.trees for name, t, row in tree.named_rows]
+
+    def parameter_rows(self) -> list[tuple[Tensor, int | None]]:
+        """(slab, row) for each named parameter, in the same order; row None is a whole tensor."""
+        return [(t, row) for tree in self.trees for _, t, row in tree.named_rows]
 
     def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
+        """The slabs and the decoders' tensors, each once."""
+        return list(dict.fromkeys(t for t, _ in self.parameter_rows()))
 
 
 def build_model(config: ModelConfig) -> StackedSCINet:

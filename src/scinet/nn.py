@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DimensionError, UsageError
-from .tensor import Tensor, conv1d, leaky_relu, linear, mul, tanh
+from .tensor import Tensor, conv1d, gather_groups, leaky_relu, linear, mul, tanh
 
 
 def kaiming_uniform_bound(fan_in: int, gain: float) -> float:
@@ -48,7 +48,13 @@ class InteractionModule:
     input's shape and lies in (-1, 1). With ``identity_init`` the closing conv
     starts all-zero, making the whole module the zero map at initialisation;
     the opening conv is Kaiming-uniform matched to the leaky-relu slope.
+
+    ``stacked`` joins several modules into one grouped module: each of its four
+    tensors gains a leading group axis, and it maps (groups, batch, d, time)
+    with group g run by the g-th module's weights.
     """
+
+    PARAMS = ("w_in", "b_in", "w_out", "b_out")
 
     def __init__(
         self,
@@ -71,30 +77,44 @@ class InteractionModule:
         self.leaky_slope = leaky_slope
         self.dropout_p = dropout_p
         gain = leaky_relu_gain(leaky_slope)
-        self.w_in = Tensor(_kaiming_uniform(rng, (hidden, channels, kernel_size), gain), requires_grad=True)
-        self.b_in = Tensor(np.zeros(hidden), requires_grad=True)
+        # uniform draws and zeros are finite, so the tensors skip the finite scan
+        self.w_in = Tensor._wrap(_kaiming_uniform(rng, (hidden, channels, kernel_size), gain), True)
+        self.b_in = Tensor._wrap(np.zeros(hidden), True)
         if identity_init:
-            self.w_out = Tensor(np.zeros((channels, hidden, kernel_size)), requires_grad=True)
+            self.w_out = Tensor._wrap(np.zeros((channels, hidden, kernel_size)), True)
         else:
-            self.w_out = Tensor(_kaiming_uniform(rng, (channels, hidden, kernel_size), 1.0), requires_grad=True)
-        self.b_out = Tensor(np.zeros(channels), requires_grad=True)
+            self.w_out = Tensor._wrap(_kaiming_uniform(rng, (channels, hidden, kernel_size), 1.0), True)
+        self.b_out = Tensor._wrap(np.zeros(channels), True)
+
+    @classmethod
+    def stacked(cls, modules: list["InteractionModule"]) -> "InteractionModule":
+        """One grouped module whose group g holds a copy of ``modules[g]``'s weights."""
+        grouped = object.__new__(cls)
+        first = modules[0]
+        grouped.channels, grouped.leaky_slope, grouped.dropout_p = first.channels, first.leaky_slope, first.dropout_p
+        for name in cls.PARAMS:
+            setattr(grouped, name, Tensor._wrap(np.stack([getattr(m, name).data for m in modules]), True))
+        return grouped
 
     def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        if x.data.ndim != 3 or x.shape[1] != self.channels:
-            raise DimensionError(f"interaction module expects (batch, {self.channels}, time), got {x.shape}")
-        h = conv1d(x, self.w_in, self.b_in)
+        """A grouped module given r times its group count (one block's weights filling r roles)
+        runs each group's weights on r inputs, so their gradients add."""
+        weights = [getattr(self, name) for name in self.PARAMS]
+        ndim = weights[0].data.ndim
+        if x.data.ndim != ndim or x.shape[-2] != self.channels or (ndim == 4 and x.shape[0] % weights[0].shape[0]):
+            lead = "(groups, " if ndim == 4 else "("
+            raise DimensionError(f"interaction module expects {lead}batch, {self.channels}, time), got {x.shape}")
+        if ndim == 4 and x.shape[0] != weights[0].shape[0]:
+            weights = [gather_groups([t] * (x.shape[0] // t.shape[0])) for t in weights]
+        w_in, b_in, w_out, b_out = weights
+        h = conv1d(x, w_in, b_in)
         h = leaky_relu(h, self.leaky_slope)
         h = dropout_forward(h, self.dropout_p, training, rng)
-        h = conv1d(h, self.w_out, self.b_out)
+        h = conv1d(h, w_out, b_out)
         return tanh(h)
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [
-            (prefix + "/w_in", self.w_in),
-            (prefix + "/b_in", self.b_in),
-            (prefix + "/w_out", self.w_out),
-            (prefix + "/b_out", self.b_out),
-        ]
+        return [(f"{prefix}/{name}", getattr(self, name)) for name in self.PARAMS]
 
 
 class DecoderLayer:

@@ -6,7 +6,8 @@ Conventions fixed across the package:
 * conv1d is a cross-correlation (kernels are not flipped) with replication
   padding, so output length equals input length; it reads its taps through
   one cached clamped index, so no padded copy of the input exists, and its
-  backward rule keeps nothing but the input's and kernel's own arrays
+  backward rule keeps nothing but the input's and kernel's own arrays; a
+  leading group axis runs one kernel per group in one call
 * inputs to exp are clamped to [-20, 20] and the gradient is zero outside
   the clamp
 * a Tape records operations in execution order, which is already a valid
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NumericError, UsageError
 
 EXP_CLAMP = 20.0
+CONV_CHUNK_BYTES = 512 * 1024  # bound on the largest temporary of one chunk of conv1d groups
 
 
 class Tensor:
@@ -185,7 +187,9 @@ def tanh(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     xd = x.data
-    out = np.where(xd >= 0.0, xd, slope * xd)
+    # for 0 <= slope <= 1, max(x, slope*x) is x exactly where x >= 0 (signed zeros included)
+    # and slope*x elsewhere, without a masked select
+    out = np.maximum(xd, slope * xd) if 0.0 <= slope <= 1.0 else np.where(xd >= 0.0, xd, slope * xd)
     return _emit(out, (x,), lambda g: (g * np.where(xd >= 0.0, 1.0, slope),))
 
 
@@ -200,31 +204,50 @@ def _taps(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return channel_major, time_major
 
 
-def _conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray):
-    """Input, kernel and bias gradients of conv1d for its output gradient g.
+def _group_chunks(groups: int, per_group: int):
+    """Slices of consecutive groups whose largest temporary, ``per_group`` doubles per group, fits
+    CONV_CHUNK_BYTES (at least one group per slice)."""
+    step = max(1, CONV_CHUNK_BYTES // (8 * per_group))
+    return [slice(at, at + step) for at in range(0, groups, step)]
 
-    Both GEMMs are time-major (g2 has a row per batch and time). The kernel gradient's other
-    operand, k*in_ch taps per row, is gathered through the time-major tap index from a
+
+def _conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray):
+    """Input, kernel and bias gradients of grouped conv1d, x (G, batch, in_ch, n), for its output gradient g.
+
+    Per group, both GEMMs are time-major (g2 has a row per batch and time). The kernel gradient's
+    other operand, k*in_ch taps per row, is gathered through the time-major tap index from a
     contiguous (batch, n, in_ch) copy of x, both temporaries freed before the fold allocates.
     The fold adds one (batch*n, in_ch) product per tap into the range it read on a buffer with
-    pad extra samples per side, whose ends then fold onto the edge samples they clamp to.
+    pad extra samples per side, whose ends then fold onto the edge samples they clamp to. Each
+    chunk of groups allocates its own results after its temporaries are gone; several chunks'
+    results are concatenated.
     """
-    (out_ch, in_ch, k), (batch, _, n) = wd.shape, g.shape
+    (groups, out_ch, in_ch, k), (_, batch, _, n) = wd.shape, g.shape
     pad = (k - 1) // 2
-    g2 = g.transpose(0, 2, 1).reshape(batch * n, out_ch)
-    gw = g2.T @ np.take(np.ascontiguousarray(xd.transpose(0, 2, 1)), _taps(n, k)[1], axis=1,
-                        mode="clip").reshape(batch * n, k * in_ch)
-    per_tap = np.matmul(g2, wd.transpose(2, 0, 1)).reshape(k, batch, n, in_ch)
-    gp = np.empty((batch, n + 2 * pad, in_ch))  # the first tap fills it, so no zeroing pass
-    gp[:, :n] = per_tap[0]
-    gp[:, n:] = 0.0
-    for j in range(1, k):
-        gp[:, j:j + n] += per_tap[j]
-    gx = np.ascontiguousarray(gp[:, pad:pad + n].transpose(0, 2, 1))
-    if pad:
-        gx[:, :, 0] += gp[:, :pad].sum(axis=1)
-        gx[:, :, -1] += gp[:, pad + n:].sum(axis=1)
-    return gx, np.ascontiguousarray(gw.reshape(out_ch, k, in_ch).transpose(0, 2, 1)), g.sum(axis=(0, 2))
+    chunks = []
+    for at in _group_chunks(groups, batch * n * k * max(in_ch, out_ch)):
+        gg = g[at]
+        size = gg.shape[0]
+        g2 = gg.transpose(0, 1, 3, 2).reshape(size, batch * n, out_ch)
+        gw = np.matmul(
+            g2.transpose(0, 2, 1),
+            np.take(np.ascontiguousarray(xd[at].transpose(0, 1, 3, 2)), _taps(n, k)[1], axis=2,
+                    mode="clip").reshape(size, batch * n, k * in_ch),
+        )
+        per_tap = np.matmul(g2[:, None], wd[at].transpose(0, 3, 1, 2)).reshape(size, k, batch, n, in_ch)
+        gp = np.empty((size, batch, n + 2 * pad, in_ch))  # the first tap fills it, so no zeroing pass
+        gp[:, :, :n] = per_tap[:, 0]
+        gp[:, :, n:] = 0.0
+        for j in range(1, k):
+            gp[:, :, j:j + n] += per_tap[:, j]
+        del per_tap
+        gx = np.ascontiguousarray(gp[:, :, pad:pad + n].transpose(0, 1, 3, 2))
+        if pad:
+            gx[:, :, :, 0] += gp[:, :, :pad].sum(axis=2)
+            gx[:, :, :, -1] += gp[:, :, pad + n:].sum(axis=2)
+        chunks.append((gx, np.ascontiguousarray(gw.reshape(size, out_ch, k, in_ch).transpose(0, 1, 3, 2)),
+                       gg.sum(axis=(1, 3))))
+    return chunks[0] if len(chunks) == 1 else tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -236,28 +259,42 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     buffer, builds cols (batch, in_ch*k, n) with cols[:, c*k + j, t] = x[:, c, clip(t+j-pad)],
     the row order of w.reshape(out_ch, in_ch*k), so out = w2 @ cols + b. The backward rule
     keeps only x's and w's own arrays, so the tape holds no conv1d buffer.
+
+    With a leading group axis, x (G, batch, in_ch, n), w (G, out_ch, in_ch, k) and b (G, out_ch),
+    group g convolves x[g] with w[g] and b[g] through the same gather and GEMM shapes, so each
+    group's output and gradients are bit-identical to a separate call. Groups run in chunks
+    whose largest temporary stays under CONV_CHUNK_BYTES.
     """
     xd, wd, bd = x.data, w.data, b.data
-    if xd.ndim != 3:
-        raise DimensionError(f"conv1d: input must be 3-d (batch, channels, time), got {xd.shape}")
-    if wd.ndim != 3 or bd.ndim != 1:
-        raise DimensionError(f"conv1d: kernel must be 3-d and bias 1-d, got {wd.shape} and {bd.shape}")
-    out_ch, in_ch, k = wd.shape
+    if xd.ndim not in (3, 4):
+        raise DimensionError(f"conv1d: input must be (batch, channels, time), optionally grouped, got {xd.shape}")
+    if wd.ndim != xd.ndim or bd.ndim != xd.ndim - 2:
+        raise DimensionError(f"conv1d: kernel and bias must match the input's grouping, got {wd.shape} and {bd.shape}")
+    xg, wg, bg = (xd, wd, bd) if xd.ndim == 4 else (xd[None], wd[None], bd[None])  # 3-d: one group
+    groups, out_ch, in_ch, k = wg.shape
     if k % 2 == 0:
         raise ConfigError(f"conv1d: kernel size must be odd, got {k}")
-    if xd.shape[1] != in_ch:
-        raise DimensionError(f"conv1d: input has {xd.shape[1]} channels, kernel expects {in_ch}")
-    if bd.shape[0] != out_ch:
-        raise DimensionError(f"conv1d: bias has {bd.shape[0]} channels, kernel yields {out_ch}")
-    batch, _, n = xd.shape
-    cols = np.take(xd, _taps(n, k)[0], axis=2, mode="clip").reshape(batch, in_ch * k, n)
-    out = np.matmul(wd.reshape(out_ch, in_ch * k), cols)
-    out += bd[:, None]
+    if xg.shape[2] != in_ch:
+        raise DimensionError(f"conv1d: input has {xg.shape[2]} channels, kernel expects {in_ch}")
+    if bg.shape[1] != out_ch:
+        raise DimensionError(f"conv1d: bias has {bg.shape[1]} channels, kernel yields {out_ch}")
+    if xg.shape[0] != groups or bg.shape[0] != groups:
+        raise DimensionError(f"conv1d: {xg.shape[0]} input groups, {groups} kernel and {bg.shape[0]} bias groups")
+    _, batch, _, n = xg.shape
+    outs = [  # each chunk's output is allocated after its gather, as a separate call's would be
+        np.matmul(wg[at].reshape(-1, 1, out_ch, in_ch * k),
+                  np.take(xg[at], _taps(n, k)[0], axis=3, mode="clip").reshape(-1, batch, in_ch * k, n))
+        for at in _group_chunks(groups, batch * n * k * max(in_ch, out_ch))
+    ]
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs)
+    out += bg[:, None, :, None]
 
     def rule(g):
-        return _conv1d_grads(g, xd, wd)
+        if xd.ndim == 4:
+            return _conv1d_grads(g, xd, wd)
+        return tuple(part[0] for part in _conv1d_grads(g[None], xd[None], wd[None]))
 
-    return _emit(out, (x, w, b), rule)
+    return _emit(out if xd.ndim == 4 else out[0], (x, w, b), rule)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -313,6 +350,47 @@ def interleave_time(*parts: Tensor) -> Tensor:
         return tuple(np.ascontiguousarray(g[..., j::k]) for j in range(k))
 
     return _emit(out, parts, rule)
+
+
+def ungroup_time(x: Tensor, order: Sequence[int]) -> Tensor:
+    """Merge the leading axis of x (k, ..., m) into its last: out[..., t*k + j] = x[order[j], ..., t].
+
+    ``order`` is a permutation of range(k); with the identity this is ``interleave_time`` of x's rows.
+    """
+    xd = x.data
+    k = xd.shape[0]
+    out = np.moveaxis(xd, 0, -1)[..., order].reshape(xd.shape[1:-1] + (-1,))
+
+    def rule(g):
+        gx = np.empty_like(xd)
+        gx[order] = np.moveaxis(g.reshape(xd.shape[1:] + (k,)), -1, 0)
+        return (gx,)
+
+    return _emit(out, (x,), rule)
+
+
+def gather_groups(parts: Sequence[Tensor], order: Sequence[int] | None = None) -> Tensor:
+    """Concatenate ``parts`` along the leading (group) axis, then put its rows in ``order``.
+
+    A 3-d part, a (batch, channels, time) series, counts as one group; any other part's leading
+    axis is its group axis. ``order`` is a permutation of the concatenated rows (None keeps them
+    as they are). A tensor may appear among the parts more than once; its gradients then add.
+    """
+    datas = [p.data[None] if p.data.ndim == 3 else p.data for p in parts]
+    for d in datas[1:]:
+        if d.shape[1:] != datas[0].shape[1:]:
+            raise DimensionError(f"gather_groups: group shapes differ, {datas[0].shape[1:]} vs {d.shape[1:]}")
+    cat = datas[0] if len(datas) == 1 else np.concatenate(datas)
+    out = cat.copy() if order is None else cat[order]
+    bounds = np.cumsum([0] + [d.shape[0] for d in datas]).tolist()
+    shapes = [p.data.shape for p in parts]
+
+    def rule(g):
+        if order is not None:
+            g = g[np.argsort(order)]
+        return tuple(g[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes))
+
+    return _emit(out, tuple(parts), rule)
 
 
 def concat_time(a: Tensor, b: Tensor) -> Tensor:

@@ -19,13 +19,12 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericError
 from .metrics import MetricReport, compute_metrics
-from .model import ModelConfig, StackedSCINet, build_model, compute_loss
+from .model import INFERENCE_BATCH, ModelConfig, StackedSCINet, build_model, compute_loss
 from .data import WindowDataset, batch_iter
 from .tensor import Tape, Tensor, backward
 
 CHECKPOINT_VERSION = 1
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
-PREDICT_BATCH = 256  # windows per forward pass when predicting
 
 
 @dataclass
@@ -55,23 +54,35 @@ class Adam:
     The parameters are packed, in the order given, into one float64 vector
     ``flat`` and each ``data`` becomes a view of it, so rebinding a ``data``
     afterwards detaches that parameter. A missing ``grad`` counts as zero;
-    ``step`` consumes and clears every ``grad``.
+    ``step`` consumes and clears every ``grad``. Clipping adds the gradient's
+    per-part sums of squares in the order of ``parts``: (parameter, row) pairs,
+    row None for a whole parameter, by default each parameter whole in turn.
+    A model passes its ``parameter_rows``, so the clip follows checkpoint order.
     """
 
-    def __init__(self, params: list[Tensor], lr: float, clip_norm: float = 0.0):
+    def __init__(self, params: list[Tensor], lr: float, clip_norm: float = 0.0, parts=None):
         self.params = list(params)
         self.lr = lr
         self.clip_norm = clip_norm
         self.step_count = 0
         self.flat = np.concatenate([p.data.ravel() for p in self.params])
         bounds = np.cumsum([0] + [p.size for p in self.params]).tolist()
-        spans = list(zip(bounds, bounds[1:]))
-        for p, (start, stop) in zip(self.params, spans):
+        spans = {id(p): (start, stop) for p, start, stop in zip(self.params, bounds, bounds[1:])}
+        for p in self.params:
+            start, stop = spans[id(p)]
             p.data = self.flat[start:stop].reshape(p.shape)
         self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
         self._grad, self._work = np.empty_like(self.flat), np.empty_like(self.flat)
-        # per-parameter sums of squares, added in order: one whole-vector or reduceat sum moves the clip's bits
-        self._work_parts = [self._work[start:stop] for start, stop in spans]
+
+        def part(p, row):
+            start, stop = spans[id(p)]
+            if row is None:
+                return self._work[start:stop]
+            size = (stop - start) // p.shape[0]
+            return self._work[start + row * size:start + (row + 1) * size]
+
+        # per-part sums of squares, added in order: one whole-vector or reduceat sum moves the clip's bits
+        self._work_parts = [part(p, row) for p, row in (parts or [(p, None) for p in self.params])]
 
     def step(self) -> None:
         g, work = self._grad, self._work
@@ -155,7 +166,7 @@ def validation_loss(model: StackedSCINet, dataset: WindowDataset, batch_size: in
 
 def predict_windows(model: StackedSCINet, dataset: WindowDataset) -> tuple[np.ndarray, np.ndarray]:
     """Final-stack predictions and truths as (windows, variates, horizon) arrays."""
-    pairs = [(model.forward(xb)[-1].data, yb.data) for xb, yb in batch_iter(dataset, PREDICT_BATCH)]
+    pairs = [(model.forward(xb)[-1].data, yb.data) for xb, yb in batch_iter(dataset, INFERENCE_BATCH)]
     return np.concatenate([p for p, _ in pairs]), np.concatenate([t for _, t in pairs])
 
 
@@ -192,7 +203,7 @@ def fit(
     before returning; ``history`` carries one record per epoch run.
     """
     cfg.validate()
-    optimizer = Adam(model.parameters(), lr=cfg.lr, clip_norm=cfg.clip_norm)
+    optimizer = Adam(model.parameters(), lr=cfg.lr, clip_norm=cfg.clip_norm, parts=model.parameter_rows())
     rng = np.random.default_rng(cfg.seed)
     history: list[dict] = []
     val_values: list[float] = []
@@ -310,7 +321,7 @@ def load_checkpoint(path: str) -> tuple[StackedSCINet, dict]:
         chunk = blob[offset:offset + length]
         if len(chunk) < length:
             raise CheckpointError(f"tensor {name!r}: expected {length} bytes, file holds {len(chunk)}")
-        t.data = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(t.shape)
+        t.data[...] = np.frombuffer(chunk, dtype="<f8").reshape(t.shape)  # in place: a slab row stays a view
         offset += length
     if offset != len(blob):
         raise CheckpointError(f"checkpoint {path} has {len(blob) - offset} trailing bytes")

@@ -141,16 +141,18 @@ def test_a1_gradients_match_finite_differences(record_criterion):
         )
         for k in range(4)
     ]
-    block = SCIBlock(*mods, sign="add", no_interlearn=False)
+    # one block: (scale_for_odd, scale_for_even) and (correct_odd, correct_even) as grouped modules
+    block = SCIBlock(InteractionModule.stacked(mods[:2]), InteractionModule.stacked(mods[2:]),
+                     sign="add", no_interlearn=False)
     bx = Tensor(rng.normal(size=(2, 2, 8)), requires_grad=True)
     pe_probe = Tensor(rng.normal(size=(2, 2, 4)))
     po_probe = Tensor(rng.normal(size=(2, 2, 4)))
+    probe = Tensor(np.stack([pe_probe.data, po_probe.data]))  # the block's output: even half, then odd half
 
     def block_loss():
-        even, odd = block.forward(bx)
-        return sum_all(add(mul(even, pe_probe), mul(odd, po_probe)))
+        return sum_all(mul(block.forward(bx), probe))
 
-    b_params = [p for m in mods for _, p in m.named_parameters("b")] + [bx]
+    b_params = [p for m in (block.scale, block.correct) for _, p in m.named_parameters("b")] + [bx]
     worst["sci_block"] = finite_diff_check(block_loss, b_params)
 
     net = build_model(

@@ -248,6 +248,23 @@ def test_rejected_rows_leave_their_windows_out(tmp_path, capsys):
     assert ids == [i for i in range(107) if not (39 <= i <= 49 or 78 <= i <= 88)]
 
 
+def test_pe_refuses_a_series_with_dropped_rows(tmp_path, capsys):
+    data = tmp_path / "gaps.csv"
+    frame = write_dataset(data)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", str(write_config(tmp_path / "r.cfg", data, ckpt, epochs=1))]) == 0
+    for row, col in ((30, 0), (31, 1), (70, 0)):
+        frame.values[row, col] = np.nan
+    write_csv(frame, data)
+    capsys.readouterr()
+    for argv in (["pe", str(data)], ["pe", str(data), "--checkpoint", str(ckpt)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        # data row 30 sits on file line 32, after the header
+        assert f"error: {data} row 32 holds NaN or inf (3 such rows)" in err
+
+
 class TestEvalCommand:
     def test_report_file_and_stdout(self, trained, tmp_path, capsys):
         out = tmp_path / "report.txt"

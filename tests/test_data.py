@@ -65,6 +65,19 @@ class TestLoadCsv:
         msg = str(exc.value)
         assert "row 3" in msg and "u" in msg
 
+    def test_error_names_the_file_line_after_a_blank_line(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        write_lines(p, ["date,u", "t0,1.0", "", "t1,oops"])
+        with pytest.raises(ConfigError, match=r"row 4, column 'u'"):
+            load_csv(p)
+
+    def test_blank_line_is_not_a_gap(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        write_lines(p, ["date,u", "t0,1.0", "", "t1,nan", "t2,3.0"])
+        frame = load_csv(p)
+        npt.assert_array_equal(frame.rows, [2, 4])  # the blank line is not counted; the NaN row is
+        assert frame.first_rejected_line == 4
+
     def test_ragged_row_rejected(self, tmp_path):
         p = tmp_path / "r.csv"
         write_lines(p, ["date,u,v", "t0,1.0,2.0", "t1,3.0"])

@@ -1,0 +1,195 @@
+"""The level-batched tree against a block-by-block reference.
+
+``ReferenceNet`` is the block-by-block forward the tree had before each level
+ran as one grouped step: one InteractionModule per block and role, a block
+splits, scales and corrects its own input, and the leaves are realigned from
+a list. It copies its weights from a model's named parameters, so both run
+the same numbers and their outputs, dropout draws and gradients can be
+compared bit for bit.
+"""
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scinet.model import ModelConfig, build_model, compute_loss, realign, split_even_odd
+from scinet.nn import InteractionModule
+from scinet.tensor import (
+    Tape,
+    Tensor,
+    add,
+    backward,
+    concat_time,
+    exp,
+    linear,
+    mul,
+    slice_time,
+    sub,
+    sum_all,
+)
+from scinet.train import Adam, TrainConfig, fit, load_checkpoint, save_checkpoint
+from scinet.data import WindowDataset
+
+ROLES = ("scale_for_odd", "scale_for_even", "correct_odd", "correct_even")
+
+
+def _leaf(data):
+    return Tensor(np.array(data), requires_grad=True)
+
+
+class ReferenceNet:
+    def __init__(self, model):
+        self.cfg = model.config
+        self.params = {name: _leaf(t.data) for name, t in model.named_parameters()}
+
+    def module(self, prefix):
+        m = object.__new__(InteractionModule)
+        m.channels, m.leaky_slope, m.dropout_p = self.cfg.n_variates, self.cfg.leaky_slope, self.cfg.dropout
+        for name in InteractionModule.PARAMS:
+            setattr(m, name, self.params[f"{prefix}/{name}"])
+        return m
+
+    def block(self, x, prefix, training, rng):
+        cfg = self.cfg
+        sfo, sfe, co, ce = (self.module(f"{prefix}/{'shared' if cfg.weight_share else role}") for role in ROLES)
+        even, odd = split_even_odd(x)
+        if cfg.no_interlearn:
+            new_odd = co.forward(sfo.forward(odd, training, rng), training, rng)
+            new_even = ce.forward(sfe.forward(even, training, rng), training, rng)
+            return new_even, new_odd
+        scaled_odd = mul(odd, exp(sfo.forward(even, training, rng)))
+        scaled_even = mul(even, exp(sfe.forward(odd, training, rng)))
+        op = add if cfg.sign == "add" else sub
+        new_odd = op(scaled_odd, co.forward(scaled_even, training, rng))
+        new_even = op(scaled_even, ce.forward(scaled_odd, training, rng))
+        return new_even, new_odd
+
+    def leaves(self, x, prefix, level, training, rng):
+        even, odd = self.block(x, prefix, training, rng)
+        if level == self.cfg.levels:
+            return [even, odd]
+        return (self.leaves(even, prefix + "e", level + 1, training, rng)
+                + self.leaves(odd, prefix + "o", level + 1, training, rng))
+
+    def forward(self, x, training=False, rng=None):
+        cfg = self.cfg
+        outputs, current = [], x
+        for s in range(cfg.stacks):
+            rep = realign(self.leaves(current, f"stack{s}/b", 1, training, rng))
+            rep = rep if cfg.no_residual else add(rep, current)
+            if cfg.no_decoder:
+                pred = slice_time(rep, cfg.look_back - cfg.horizon, cfg.look_back)
+            else:
+                pred = linear(rep, self.params[f"stack{s}/decoder/weight"], self.params[f"stack{s}/decoder/bias"])
+            outputs.append(pred)
+            current = concat_time(slice_time(x, cfg.horizon, cfg.look_back), pred)
+        return outputs
+
+
+def _run(net, x, probes, training, seed):
+    with Tape() as tape:
+        outputs = net.forward(x, training=training, rng=np.random.default_rng(seed))
+        loss = sum_all(mul(outputs[0], probes[0]))
+        for out, probe in zip(outputs[1:], probes[1:]):
+            loss = add(loss, sum_all(mul(out, probe)))
+    backward(loss, tape)
+    return [o.data for o in outputs]
+
+
+VARIANTS = [{}, {"sign": "sub"}, {"no_interlearn": True}, {"no_residual": True}, {"no_decoder": True},
+            {"weight_share": True}]
+
+
+@given(
+    levels=st.integers(1, 4), stacks=st.integers(1, 2), variant=st.sampled_from(VARIANTS),
+    d=st.integers(1, 3), batch=st.integers(1, 3), kernel=st.sampled_from([3, 5]),
+    training=st.booleans(), seed=st.integers(0, 1000),
+)
+@settings(max_examples=40, deadline=None)
+def test_outputs_and_gradients_match_block_by_block_reference(levels, stacks, variant, d, batch, kernel,
+                                                              training, seed):
+    look_back = 2 << levels
+    cfg = ModelConfig(look_back=look_back, horizon=look_back // 2, n_variates=d, levels=levels, stacks=stacks,
+                      kernel_size=kernel, dropout=0.5, identity_init=False, seed=seed, **variant)
+    model = build_model(cfg)
+    reference = ReferenceNet(model)
+    rng = np.random.default_rng(seed + 1)
+    x = Tensor(rng.normal(size=(batch, d, look_back)))
+    probes = [Tensor(rng.normal(size=(batch, d, cfg.horizon))) for _ in range(stacks)]
+    got = _run(model, x, probes, training, seed)
+    want = _run(reference, x, probes, training, seed)
+    for g, w in zip(got, want):
+        npt.assert_array_equal(g, w)
+    tol = 1e-12 if cfg.weight_share else 0.0  # a shared module's gradient sums its roles in another order
+    for name, t in model.named_parameters():
+        ref = reference.params[name].grad
+        assert ref is not None and t.grad is not None, name
+        npt.assert_allclose(t.grad, ref, rtol=tol, atol=tol, err_msg=name)
+
+
+def test_named_views_follow_the_slabs_through_fit_and_load(tmp_path):
+    cfg = ModelConfig(look_back=16, horizon=4, n_variates=2, levels=3, stacks=2, kernel_size=3, seed=3)
+    model = build_model(cfg)
+    values = np.random.default_rng(0).normal(size=(120, 2))
+    train_ds, val_ds = WindowDataset(values, (0, 80), 16, 4), WindowDataset(values, (80, 120), 16, 4)
+    fit(model, train_ds, val_ds, TrainConfig(epochs=2, batch_size=16, seed=0))
+
+    def shares(m):
+        slabs = m.parameters()
+        return all(any(np.shares_memory(t.data, s.data) for s in slabs) for _, t in m.named_parameters())
+
+    assert shares(model)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+    loaded, _ = load_checkpoint(path)
+    assert shares(loaded)
+    for (name, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+
+
+def test_parameters_are_one_slab_per_level_tensor_plus_the_decoder():
+    model = build_model(ModelConfig(look_back=48, horizon=24, n_variates=3, levels=4, stacks=2))
+    # per tree: four levels of scale and correction slabs (w_in, b_in, w_out, b_out each), then the decoder
+    assert len(model.parameters()) == 2 * (4 * 8 + 2)
+    assert len(model.named_parameters()) == 2 * (15 * 16 + 2)
+    assert sum(p.size for p in model.parameters()) == sum(t.size for _, t in model.named_parameters())
+    w_in = model.parameters()[0]
+    assert w_in.shape == (2, 6, 3, 5)  # level 1: scale_for_odd, then scale_for_even
+
+
+@pytest.mark.parametrize("clip_norm", [0.05, 0.0])
+def test_slab_adam_steps_like_a_per_block_adam(clip_norm):
+    # with the model's parameter_rows as parts, clipping adds the per-block sums of squares in
+    # checkpoint order, as an optimizer over per-block tensors does, so the bits match
+    model = build_model(ModelConfig(look_back=16, horizon=4, n_variates=2, levels=3, stacks=2, kernel_size=3,
+                                    identity_init=False, seed=5))
+    blocks = [_leaf(t.data) for _, t in model.named_parameters()]
+    slab_opt = Adam(model.parameters(), lr=1e-2, clip_norm=clip_norm, parts=model.parameter_rows())
+    block_opt = Adam(blocks, lr=1e-2, clip_norm=clip_norm)
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        for p in model.parameters():
+            p.grad = rng.normal(scale=3.0, size=p.shape)
+        for b, (_, view) in zip(blocks, model.named_parameters()):
+            b.grad = view.grad.copy()
+        slab_opt.step()
+        block_opt.step()
+    for b, (name, view) in zip(blocks, model.named_parameters()):
+        assert b.data.tobytes() == view.data.tobytes(), name
+
+
+@pytest.mark.parametrize("levels,stacks,nodes", [(4, 2, 163), (3, 1, 60)])
+def test_a_training_step_records_a_few_nodes_per_level(levels, stacks, nodes):
+    # 19 per level: split (2), [even; odd] (1), two grouped modules (5 each), exp and its swap (2),
+    # the scaled halves (1), the correction's swap (1), the sum (1), the children's order (1); the
+    # first tree's first split and [even; odd] read the untracked batch. Then per tree realign,
+    # residual and decoder; between trees the stacked input (1); the loss (3 per stack, plus sums).
+    cfg = ModelConfig(look_back=48, horizon=24, n_variates=3, levels=levels, stacks=stacks)
+    model = build_model(cfg)
+    x = Tensor(np.random.default_rng(0).normal(size=(4, 3, 48)))
+    y = Tensor(np.zeros((4, 3, 24)))
+    with Tape() as tape:
+        compute_loss(model.forward(x, training=True, rng=np.random.default_rng(0)), y)
+    assert len(tape.nodes) == nodes

@@ -134,87 +134,89 @@ class TestSplitRealign:
 
 
 class _ConstStub:
-    """Interaction-module stand-in returning a constant array."""
+    """Grouped interaction-module stand-in: group r of its output is the constant values[r]."""
 
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, *values):
+        self.values = np.array(values)
 
     def forward(self, x, training=False, rng=None):
-        return Tensor(np.full(x.data.shape, self.value))
+        return Tensor(np.broadcast_to(self.values[:, None, None, None], x.shape).copy())
 
 
 class _FnStub:
-    def __init__(self, fn):
-        self.fn = fn
+    """Grouped stand-in applying fns[r] to group r."""
+
+    def __init__(self, *fns):
+        self.fns = fns
 
     def forward(self, x, training=False, rng=None):
-        return Tensor(self.fn(x.data))
+        return Tensor(np.stack([fn(row) for fn, row in zip(self.fns, x.data)]))
 
 
 class TestSCIBlock:
+    # a one-block level: the scale stand-in's groups are (scale_for_odd, scale_for_even), the
+    # correction's (correct_odd, correct_even); the output holds the even half, then the odd half
     def test_constant_scale_worked_example(self):
         # scale-for-odd outputs ln 2 everywhere and everything else is zero:
         # odd half doubles (exp(ln 2) = 2), even half passes through unchanged
-        block = SCIBlock(
-            _ConstStub(math.log(2.0)), _ConstStub(0.0), _ConstStub(0.0), _ConstStub(0.0),
-            sign="add", no_interlearn=False,
-        )
+        block = SCIBlock(_ConstStub(math.log(2.0), 0.0), _ConstStub(0.0, 0.0), sign="add", no_interlearn=False)
         x = Tensor(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
-        even, odd = block.forward(x)
-        npt.assert_allclose(even.data, [[[1.0, 3.0]]], rtol=1e-15)
-        npt.assert_allclose(odd.data, [[[4.0, 8.0]]], rtol=1e-15)
+        even, odd = block.forward(x).data
+        npt.assert_allclose(even, [[[1.0, 3.0]]], rtol=1e-15)
+        npt.assert_allclose(odd, [[[4.0, 8.0]]], rtol=1e-15)
 
     def test_sub_sign_flips_corrections(self):
-        block_add = SCIBlock(
-            _ConstStub(0.0), _ConstStub(0.0), _ConstStub(0.5), _ConstStub(0.25),
-            sign="add", no_interlearn=False,
-        )
-        block_sub = SCIBlock(
-            _ConstStub(0.0), _ConstStub(0.0), _ConstStub(0.5), _ConstStub(0.25),
-            sign="sub", no_interlearn=False,
-        )
+        block_add = SCIBlock(_ConstStub(0.0, 0.0), _ConstStub(0.5, 0.25), sign="add", no_interlearn=False)
+        block_sub = SCIBlock(_ConstStub(0.0, 0.0), _ConstStub(0.5, 0.25), sign="sub", no_interlearn=False)
         x = Tensor(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
-        even_a, odd_a = block_add.forward(x)
-        even_s, odd_s = block_sub.forward(x)
-        npt.assert_allclose(odd_a.data, [[[2.5, 4.5]]])
-        npt.assert_allclose(odd_s.data, [[[1.5, 3.5]]])
-        npt.assert_allclose(even_a.data, [[[1.25, 3.25]]])
-        npt.assert_allclose(even_s.data, [[[0.75, 2.75]]])
+        even_a, odd_a = block_add.forward(x).data
+        even_s, odd_s = block_sub.forward(x).data
+        npt.assert_allclose(odd_a, [[[2.5, 4.5]]])
+        npt.assert_allclose(odd_s, [[[1.5, 3.5]]])
+        npt.assert_allclose(even_a, [[[1.25, 3.25]]])
+        npt.assert_allclose(even_s, [[[0.75, 2.75]]])
 
     def test_no_interlearn_runs_chains_per_half(self):
         # decoupled wiring: odd half -> scale_for_odd -> correct_odd, with no
         # exp and no cross terms
         block = SCIBlock(
-            _FnStub(lambda a: a + 1.0), _FnStub(lambda a: a * 3.0),
-            _FnStub(lambda a: a * 2.0), _FnStub(lambda a: a - 1.0),
+            _FnStub(lambda a: a + 1.0, lambda a: a * 3.0), _FnStub(lambda a: a * 2.0, lambda a: a - 1.0),
             sign="add", no_interlearn=True,
         )
         x = Tensor(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
-        even, odd = block.forward(x)
+        even, odd = block.forward(x).data
         # odd = [2, 4]: (odd + 1) * 2 = [6, 10]; even = [1, 3]: 3*even - 1 = [2, 8]
-        npt.assert_allclose(odd.data, [[[6.0, 10.0]]])
-        npt.assert_allclose(even.data, [[[2.0, 8.0]]])
+        npt.assert_allclose(odd, [[[6.0, 10.0]]])
+        npt.assert_allclose(even, [[[2.0, 8.0]]])
 
     def test_identity_init_block_is_identity(self):
         model = build_model(config(levels=1))
         block = model.trees[0].root.block
         x = Tensor(np.random.default_rng(1).normal(size=(2, 2, 8)))
-        even, odd = block.forward(x)
-        npt.assert_array_equal(even.data, x.data[:, :, 0::2])
-        npt.assert_array_equal(odd.data, x.data[:, :, 1::2])
+        even, odd = block.forward(x).data
+        npt.assert_array_equal(even, x.data[:, :, 0::2])
+        npt.assert_array_equal(odd, x.data[:, :, 1::2])
+
+    def test_children_in_tree_order(self):
+        # a two-block level at identity: child 2g is block g's even half, 2g+1 its odd half
+        model = build_model(config(look_back=16, levels=2))
+        level2 = model.trees[0].root.child.block
+        x = np.random.default_rng(2).normal(size=(2, 3, 2, 4))
+        out = level2.forward(Tensor(x)).data
+        npt.assert_array_equal(out, [x[0, ..., 0::2], x[0, ..., 1::2], x[1, ..., 0::2], x[1, ..., 1::2]])
 
 
 class TestTree:
     def test_block_count_is_two_to_levels_minus_one(self):
         for levels in (1, 2, 3):
             model = build_model(config(look_back=16, horizon=4, levels=levels))
-
-            def count(node):
-                if node.even_child is None:
-                    return 1
-                return 1 + count(node.even_child) + count(node.odd_child)
-
-            assert count(model.trees[0].root) == 2**levels - 1
+            node, groups = model.trees[0].root, []
+            while node is not None:  # one node per level, each holding its blocks' two scale modules
+                groups.append(node.block.scale.w_in.shape[0] // 2)
+                node = node.child
+            assert groups == [2**level for level in range(levels)]
+            blocks = {name.split("/")[1] for name, _ in model.named_parameters() if "/decoder/" not in name}
+            assert len(blocks) == sum(groups) == 2**levels - 1
 
     def test_identity_init_representation_is_twice_input(self):
         model = build_model(config(levels=2, seed=3))
@@ -287,8 +289,8 @@ class TestStacking:
 
     def test_weight_share_aliases_modules(self):
         model = build_model(config(weight_share=True))
-        block = model.trees[0].root.block
-        assert block.scale_for_odd is block.scale_for_even is block.correct_odd is block.correct_even
+        block = model.trees[0].root.block  # the level's shared modules fill the scale and correction roles
+        assert block.scale is block.correct
         shared_names = [n for n, _ in model.named_parameters() if "/shared/" in n]
         assert shared_names  # parameters listed once under the shared prefix
 

@@ -16,6 +16,7 @@ from scinet.tensor import (
     conv1d,
     exp,
     finite_diff_check,
+    gather_groups,
     interleave_time,
     leaky_relu,
     linear,
@@ -26,6 +27,8 @@ from scinet.tensor import (
     sum_all,
     _taps,
 )
+from scinet import tensor as tensor_module
+from scinet.model import realign
 
 
 def leaf(arr, requires_grad=True):
@@ -497,3 +500,79 @@ class TestFiniteDiffCheck:
         finite_diff_check(f, [x])
         npt.assert_array_equal(x.data, before)
         assert x.grad is None
+
+
+class TestGroupedOps:
+    @given(
+        groups=st.integers(1, 5), batch=st.integers(1, 3), in_ch=st.integers(1, 4), out_ch=st.integers(1, 4),
+        k=st.sampled_from([1, 3, 5]), n=st.integers(1, 12), chunk=st.sampled_from([8, 4096, 1 << 20]),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_grouped_conv1d_is_separate_calls_bit_for_bit(self, groups, batch, in_ch, out_ch, k, n, chunk, seed):
+        # each group runs the gather and GEMM shapes of its own 3-d call, whatever the chunking
+        rng = np.random.default_rng(seed)
+        x, w, b = rng.normal(size=(groups, batch, in_ch, n)), rng.normal(size=(groups, out_ch, in_ch, k)), \
+            rng.normal(size=(groups, out_ch))
+        g = rng.normal(size=(groups, batch, out_ch, n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor_module, "CONV_CHUNK_BYTES", chunk)
+            grouped = [leaf(x), leaf(w), leaf(b)]
+            with Tape() as tape:
+                out = conv1d(*grouped)
+            grads = tape.nodes[-1].rule(g)
+        for i in range(groups):
+            alone = [leaf(x[i]), leaf(w[i]), leaf(b[i])]
+            with Tape() as tape:
+                ref = conv1d(*alone)
+            assert out.data[i].tobytes() == ref.data.tobytes()
+            for got, want in zip(grads, tape.nodes[-1].rule(g[i])):
+                assert got[i].tobytes() == want.tobytes()
+
+    def test_grouped_conv1d_checks_group_counts(self):
+        with pytest.raises(DimensionError, match="groups"):
+            conv1d(leaf(np.zeros((2, 1, 3, 4))), leaf(np.zeros((3, 2, 3, 3))), leaf(np.zeros((3, 2))))
+        with pytest.raises(DimensionError, match="grouping"):
+            conv1d(leaf(np.zeros((2, 1, 3, 4))), leaf(np.zeros((2, 3, 3))), leaf(np.zeros(2)))
+
+    def test_gather_groups_values_and_gradient(self):
+        rng = np.random.default_rng(0)
+        a, b = leaf(rng.normal(size=(2, 3, 4))), leaf(rng.normal(size=(2, 3, 4)))  # each one group
+        c = leaf(rng.normal(size=(2, 2, 3, 4)))
+        out = gather_groups((a, b, c), [3, 0, 2, 1])
+        npt.assert_array_equal(out.data, np.stack([c.data[1], a.data, c.data[0], b.data]))
+        probe = leaf(rng.normal(size=(4, 2, 3, 4)), requires_grad=False)
+        assert finite_diff_check(lambda: sum_all(mul(gather_groups((a, b, c), [3, 0, 2, 1]), probe)),
+                                 [a, b, c]) < 1e-6
+
+    def test_gather_groups_repeated_part_adds_gradients(self):
+        w = leaf(np.arange(6.0).reshape(2, 3))
+        with Tape() as tape:
+            loss = sum_all(mul(gather_groups((w, w)), leaf(np.arange(12.0).reshape(4, 3), requires_grad=False)))
+        backward(loss, tape)
+        npt.assert_array_equal(w.grad, np.arange(6.0).reshape(2, 3) + np.arange(6.0, 12.0).reshape(2, 3))
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_realign_of_stacked_leaves_matches_the_list(self, levels):
+        parts = np.random.default_rng(levels).normal(size=(1 << levels, 2, 3, 2))
+        stacked = realign(leaf(parts))
+        npt.assert_array_equal(stacked.data, realign([leaf(p) for p in parts]).data)
+        probe = leaf(np.random.default_rng(9).normal(size=stacked.shape), requires_grad=False)
+        t = leaf(parts)
+        assert finite_diff_check(lambda: sum_all(mul(realign(t), probe)), [t]) < 1e-6
+
+
+@given(
+    x=st.lists(st.sampled_from([-2.5, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 3.0]), min_size=1, max_size=20),
+    slope=st.sampled_from([0.0, 0.01, 0.3, 1.0, 2.0, -0.5]),
+)
+@settings(max_examples=80, deadline=None)
+def test_leaky_relu_is_the_masked_select_bit_for_bit(x, slope):
+    xd = np.array(x)
+    g = np.linspace(-1.0, 1.0, xd.size)
+    t = leaf(xd)
+    with Tape() as tape:
+        out = leaky_relu(t, slope)
+    assert out.data.tobytes() == np.where(xd >= 0.0, xd, slope * xd).tobytes()
+    (gx,) = tape.nodes[-1].rule(g)
+    assert gx.tobytes() == (g * np.where(xd >= 0.0, 1.0, slope)).tobytes()
