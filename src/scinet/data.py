@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import calendar
 import csv
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain, compress
 
 import numpy as np
 
@@ -43,26 +43,69 @@ def load_csv(path: str, timestamp_column: str | None = "date") -> TimeSeriesFram
     windows can skip the gap; an unparseable cell is an error naming its row
     and column by its line in the file (blank lines are skipped but counted).
     ``timestamp_column=None`` treats every column as a variate.
+
+    The header is read with ``csv``, the rows with NumPy's C parser, whose
+    float cells go through the routine ``float()`` uses, so the values are
+    bit for bit those of ``float(cell)``. A file NumPy cannot read whole goes
+    through the per-row parse instead, which gives the same values or the
+    error that names the first bad cell.
     """
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]  # a blank line is neither a row nor a gap
-    if not rows:
-        raise ConfigError(f"empty csv file: {path}")
-    header = [c.strip() for c in rows[0]]
-    if all(_parses_as_float(c) for c in header):
-        raise ConfigError(f"first row of {path} looks numeric; expected a header row")
-    ts_idx = None
-    if timestamp_column is not None:
-        if timestamp_column not in header:
-            raise ConfigError(f"timestamp column {timestamp_column!r} not found in {path}")
-        ts_idx = header.index(timestamp_column)
-    variate_names = [h for i, h in enumerate(header) if i != ts_idx]
-    if not variate_names:
-        raise ConfigError(f"no variate columns in {path}")
-    timestamps: list[str] | None = [] if ts_idx is not None else None
-    kept: list[list[float]] = []
-    rejected: list[int] = []
-    for r, row in enumerate(rows[1:], start=2):
+        header = next(filter(None, csv.reader(fh)), None)  # a blank line is neither a row nor a gap
+        if header is None:
+            raise ConfigError(f"empty csv file: {path}")
+        header = [c.strip() for c in header]
+        if all(_parses_as_float(c) for c in header):
+            raise ConfigError(f"first row of {path} looks numeric; expected a header row")
+        ts_idx = None
+        if timestamp_column is not None:
+            if timestamp_column not in header:
+                raise ConfigError(f"timestamp column {timestamp_column!r} not found in {path}")
+            ts_idx = header.index(timestamp_column)
+        variate_names = [h for i, h in enumerate(header) if i != ts_idx]
+        if not variate_names:
+            raise ConfigError(f"no variate columns in {path}")
+        # NumPy warns on input without rows, so the first data line is looked for here
+        first = next((line for line in fh if line not in ("\n", "\r\n", "\r")), None)
+        if first is None:
+            raise ConfigError(f"no usable data rows in {path}")
+        try:
+            values, stamps = _read_table(chain([first], fh), len(header), ts_idx)
+        except ValueError:
+            values, stamps = _read_rows(path, header, ts_idx)
+    good = np.isfinite(values).all(axis=1)
+    if not good.any():
+        raise ConfigError(f"no usable data rows in {path}")
+    rejected = np.flatnonzero(~good)
+    if rejected.size:
+        values = values[good]
+    return TimeSeriesFrame(
+        values=values,
+        variate_names=variate_names,
+        timestamps=None if stamps is None else [s.strip() for s in compress(stamps, good.tolist())],
+        rejected_rows=rejected.size,
+        rows=np.flatnonzero(good) + 2 if rejected.size else None,
+        first_rejected_line=_file_line(path, int(rejected[0]) + 2) if rejected.size else None,
+    )
+
+
+def _read_table(lines, n_columns: int, ts_idx: int | None):
+    """Every data row's floats and raw timestamp cell, read by NumPy; ValueError if a row does not parse."""
+    options = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
+    # one structured row per line, so a row with too few or too many cells is an error
+    if ts_idx is None:
+        return np.loadtxt(lines, dtype=[("all", np.float64, (n_columns,))], **options)["all"], None
+    fields = [("before", np.float64, (ts_idx,)), ("stamp", object), ("after", np.float64, (n_columns - ts_idx - 1,))]
+    table = np.loadtxt(lines, dtype=fields, **options)
+    return np.concatenate([table["before"], table["after"]], axis=1), table["stamp"].tolist()
+
+
+def _read_rows(path: str, header: list[str], ts_idx: int | None):
+    """``_read_table`` one row at a time with ``csv`` and ``float()``, raising on the first bad row or cell."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r][1:]
+    values, stamps = [], []
+    for r, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise ConfigError(f"{path} row {_file_line(path, r)}: expected {len(header)} cells, got {len(row)}")
         vals = []
@@ -75,22 +118,10 @@ def load_csv(path: str, timestamp_column: str | None = "date") -> TimeSeriesFram
                 raise ConfigError(
                     f"{path} row {_file_line(path, r)}, column {header[i]!r}: cannot parse {cell.strip()!r} as a number"
                 ) from None
-        if any(math.isnan(v) or math.isinf(v) for v in vals):
-            rejected.append(r)
-            continue
-        kept.append(vals)
-        if timestamps is not None:
-            timestamps.append(row[ts_idx].strip())
-    if not kept:
-        raise ConfigError(f"no usable data rows in {path}")
-    return TimeSeriesFrame(
-        values=np.asarray(kept, dtype=np.float64),
-        variate_names=variate_names,
-        timestamps=timestamps,
-        rejected_rows=len(rejected),
-        rows=np.delete(np.arange(2, len(rows) + 1), np.subtract(rejected, 2)) if rejected else None,
-        first_rejected_line=_file_line(path, rejected[0]) if rejected else None,
-    )
+        values.append(vals)
+        if ts_idx is not None:
+            stamps.append(row[ts_idx])
+    return np.array(values, dtype=np.float64), None if ts_idx is None else stamps
 
 
 def _file_line(path: str, row: int) -> int:

@@ -74,22 +74,24 @@ class Adam:
         self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
         self._grad, self._work = np.empty_like(self.flat), np.empty_like(self.flat)
 
-        def part(p, row):
+        def view(p):
             start, stop = spans[id(p)]
-            if row is None:
-                return self._work[start:stop]
-            size = (stop - start) // p.shape[0]
-            return self._work[start + row * size:start + (row + 1) * size]
+            return self._work[start:stop]
 
-        # per-part sums of squares, added in order: one whole-vector or reduceat sum moves the clip's bits
-        self._work_parts = [part(p, row) for p, row in (parts or [(p, None) for p in self.params])]
+        # per-part sums of squares, added in order: one whole-vector or reduceat sum moves the clip's bits.
+        # A slab's rows are summed by one row-wise reduction, which gives the bits of one sum per row.
+        parts = parts or [(p, None) for p in self.params]
+        self._slabs = {id(p): view(p).reshape(p.shape[0], -1) for p, row in parts if row is not None}
+        self._parts = [(id(p), row, view(p) if row is None else None) for p, row in parts]
 
     def step(self) -> None:
         g, work = self._grad, self._work
         np.concatenate([np.zeros(p.size) if p.grad is None else p.grad.ravel() for p in self.params], out=g)
         if self.clip_norm > 0:
             np.multiply(g, g, out=work)
-            total = math.sqrt(sum(float(part.sum()) for part in self._work_parts))
+            rows = {key: slab.sum(axis=1).tolist() for key, slab in self._slabs.items()}
+            total = math.sqrt(sum(float(whole.sum()) if row is None else rows[key][row]
+                                  for key, row, whole in self._parts))
             if total > self.clip_norm:
                 g *= self.clip_norm / total
         self.step_count += 1
@@ -253,8 +255,8 @@ def save_checkpoint(path: str, model: StackedSCINet, extras: dict | None = None)
 
     ``extras`` lands verbatim in the manifest (json-serializable values only);
     callers use it for normalization stats, training history, and the like.
-    The bytes go to ``<path>.tmp``, are synced, and replace ``path`` in one
-    rename, so a save that fails part-way leaves the previous file intact.
+    The bytes go through ``replacing``, so a save that fails part-way leaves
+    the previous file intact.
     """
     named = model.named_parameters()
     manifest = {
@@ -267,13 +269,24 @@ def save_checkpoint(path: str, model: StackedSCINet, extras: dict | None = None)
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
+    with replacing(path, "wb") as fh:
+        fh.write(payload)
+        fh.write(b"\n\x00")
+        for _, t in named:
+            fh.write(t.data.astype("<f8", copy=False).tobytes(order="C"))
+
+
+@contextlib.contextmanager
+def replacing(path: str, mode: str = "w", **kwargs):
+    """Open ``<path>.tmp`` for writing; once the block ends, sync it and rename it onto ``path``.
+
+    The rename is atomic, so a write that fails part-way leaves the previous
+    file intact, and the partial ``.tmp`` is removed. ``kwargs`` go to ``open``.
+    """
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.write(b"\n\x00")
-            for _, t in named:
-                fh.write(t.data.astype("<f8", copy=False).tobytes(order="C"))
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

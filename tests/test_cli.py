@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from dataclasses import fields
 from datetime import datetime, timedelta
 from types import SimpleNamespace
@@ -344,6 +345,23 @@ class TestPredictCommand:
                 for v in range(2):
                     expected.append(f"{w},{s + 1},{v},{float(truth[w, v, s])!r},{float(pred[w, v, s])!r}")
         assert emit.read_bytes() == ("\r\n".join(expected) + "\r\n").encode()
+
+
+@pytest.mark.parametrize("command,flag", [("eval", "--out"), ("predict", "--emit")])
+def test_a_failed_write_leaves_the_previous_output(trained, tmp_path, capsys, monkeypatch, command, flag):
+    out = tmp_path / "out"
+    argv = [command, str(trained.ckpt), str(trained.data), flag, str(out)]
+    assert main(argv) == 0
+    before = out.read_bytes()
+
+    def disk_full(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", disk_full)
+    assert main(argv + ["--scale", "original"]) == 1  # would write other numbers
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestPeCommand:

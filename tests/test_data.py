@@ -1,9 +1,13 @@
+import csv
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scinet import data
 from scinet.data import (
     SplitSpec,
     TimeSeriesFrame,
@@ -78,6 +82,20 @@ class TestLoadCsv:
         npt.assert_array_equal(frame.rows, [2, 4])  # the blank line is not counted; the NaN row is
         assert frame.first_rejected_line == 4
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty csv file"),
+        ("\r\n\n", "empty csv file"),
+        ("date,u\n", "no usable data rows"),
+        ("date,u\r\n\r\n\n", "no usable data rows"),
+        ("date,u\nt0,nan\nt1,inf\n", "no usable data rows"),
+    ])
+    def test_file_without_usable_rows_rejected(self, tmp_path, text, message):
+        # NumPy warns on input without rows, and a warning fails this suite, so these show none is raised
+        p = tmp_path / "e.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(ConfigError, match=message):
+            load_csv(p)
+
     def test_ragged_row_rejected(self, tmp_path):
         p = tmp_path / "r.csv"
         write_lines(p, ["date,u,v", "t0,1.0,2.0", "t1,3.0"])
@@ -113,6 +131,154 @@ class TestLoadCsv:
         back = load_csv(p)
         npt.assert_array_equal(back.values, frame.values)
         assert back.timestamps == frame.timestamps
+
+
+def reference_load_csv(path, timestamp_column="date"):
+    """load_csv as one csv.reader pass and a float() per cell, with the messages load_csv gives."""
+
+    def file_line(row):
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for count, _ in enumerate(filter(None, reader), start=1):
+                if count == row:
+                    return reader.line_num
+
+    def numeric(cell):
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
+
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    if not rows:
+        raise ConfigError(f"empty csv file: {path}")
+    header = [c.strip() for c in rows[0]]
+    if all(numeric(c) for c in header):
+        raise ConfigError(f"first row of {path} looks numeric; expected a header row")
+    ts_idx = None
+    if timestamp_column is not None:
+        if timestamp_column not in header:
+            raise ConfigError(f"timestamp column {timestamp_column!r} not found in {path}")
+        ts_idx = header.index(timestamp_column)
+    variate_names = [h for i, h in enumerate(header) if i != ts_idx]
+    if not variate_names:
+        raise ConfigError(f"no variate columns in {path}")
+    timestamps = [] if ts_idx is not None else None
+    kept, rejected = [], []
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ConfigError(f"{path} row {file_line(r)}: expected {len(header)} cells, got {len(row)}")
+        vals = []
+        for i, cell in enumerate(row):
+            if i == ts_idx:
+                continue
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise ConfigError(
+                    f"{path} row {file_line(r)}, column {header[i]!r}: cannot parse {cell.strip()!r} as a number"
+                ) from None
+        if any(math.isnan(v) or math.isinf(v) for v in vals):
+            rejected.append(r)
+            continue
+        kept.append(vals)
+        if timestamps is not None:
+            timestamps.append(row[ts_idx].strip())
+    if not kept:
+        raise ConfigError(f"no usable data rows in {path}")
+    return TimeSeriesFrame(
+        values=np.asarray(kept, dtype=np.float64),
+        variate_names=variate_names,
+        timestamps=timestamps,
+        rejected_rows=len(rejected),
+        rows=np.delete(np.arange(2, len(rows) + 1), np.subtract(rejected, 2)) if rejected else None,
+        first_rejected_line=file_line(rejected[0]) if rejected else None,
+    )
+
+
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.floats(min_value=-1e-300, max_value=1e-300).map(repr),  # subnormals among them
+    st.sampled_from(["-0.0", "1e-300", "5e-324", "2.2250738585072014e-308", "1e400", "3", ".5", "5.", "-1E5",
+                     "NaN", "-nan", "+inf", "-Infinity", "infinity"]),
+    st.decimals(allow_nan=False, allow_infinity=False, places=20).map(str),
+)
+STAMPS = st.one_of(
+    st.sampled_from(["2020-01-01 00:00:00", "t0", "", "a b", '"x,y"', '"say ""hi"""', '"two\r\nlines"']),
+    st.text(st.characters(codec="utf-8", exclude_characters='",\r\n'), max_size=8),
+)
+# what one row may be broken by: a cell float() refuses, a cell only float() reads, a cell too few
+# or too many, or a line of blanks
+FAULTS = [None, None, None, "oops", "1_000", "short", "long", "blanks"]
+
+
+class TestLoadCsvMatchesThePerRowParse:
+    @given(rows=st.integers(1, 50), variates=st.integers(1, 6), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_same_frame_or_same_error(self, csv_dir, rows, variates, data):
+        names = data.draw(st.lists(st.sampled_from(["u", "v", "w", "température", "温度", "x y", "z_1"]),
+                                   min_size=variates, max_size=variates, unique=True), label="names")
+        ts_at = data.draw(st.one_of(st.none(), st.integers(0, variates)), label="ts_at")
+        fault = data.draw(st.sampled_from(FAULTS), label="fault")
+        fault_row = data.draw(st.integers(0, rows - 1), label="fault_row")
+        dress = st.tuples(st.sampled_from(["", " ", "\t"]), NUMBERS, st.sampled_from(["", " "]), st.booleans())
+        lines = [",".join(names[:ts_at] + ["date"] + names[ts_at:] if ts_at is not None else names)]
+        for r in range(rows):
+            cells = [f'"{lead}{x}{trail}"' if quoted else f"{lead}{x}{trail}"
+                     for lead, x, trail, quoted in data.draw(st.lists(dress, min_size=variates, max_size=variates))]
+            if r == fault_row and fault in ("oops", "1_000"):
+                cells[data.draw(st.integers(0, variates - 1))] = fault
+            if ts_at is not None:
+                cells.insert(ts_at, data.draw(STAMPS))
+            line = ",".join(cells[:-1] if r == fault_row and fault == "short" else cells)
+            lines.append({"long": line + ",1.0", "blanks": "   "}.get(fault, line) if r == fault_row else line)
+        for _ in range(data.draw(st.integers(0, 3), label="blanks")):
+            lines.insert(data.draw(st.integers(0, len(lines)), label="blank_at"), "")
+        end = data.draw(st.sampled_from(["\n", "\r\n"]), label="line_end")
+        path = csv_dir / "same.csv"
+        path.write_bytes((end.join(lines) + data.draw(st.sampled_from(["", end]))).encode("utf-8"))
+        timestamp_column = None if ts_at is None else "date"
+        try:
+            want = reference_load_csv(path, timestamp_column)
+        except ConfigError as e:
+            with pytest.raises(ConfigError) as got:
+                load_csv(path, timestamp_column)
+            assert str(got.value) == str(e)
+            return
+        got = load_csv(path, timestamp_column)
+        assert got.values.shape == want.values.shape
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.variate_names == want.variate_names
+        assert got.timestamps == want.timestamps
+        assert (got.rows is None) == (want.rows is None)
+        if want.rows is not None:
+            npt.assert_array_equal(got.rows, want.rows)
+        assert got.rejected_rows == want.rejected_rows
+        assert got.first_rejected_line == want.first_rejected_line
+
+    def test_a_clean_file_never_reaches_the_per_row_parse(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the per-row parse ran")
+
+        monkeypatch.setattr(data, "_read_rows", refuse)
+        path = tmp_path / "clean.csv"
+        path.write_bytes("\r\n".join([
+            "u,date,température", "", ' 1.5 ,"2020-01-01, 00:00", -0.0', '"nan",t1,5e-324',
+            "", '-Infinity,"t""2""",1e-300', '"2.5" ,  t3  ,"\n7"', "",
+        ]).encode("utf-8"))
+        frame = load_csv(path)
+        assert frame.values.tobytes() == np.array([[1.5, -0.0], [2.5, 7.0]]).tobytes()
+        assert frame.timestamps == ["2020-01-01, 00:00", "t3"]
+        npt.assert_array_equal(frame.rows, [2, 5])
+        assert frame.rejected_rows == 2 and frame.first_rejected_line == 4
+
+    def test_digit_separators_are_read_by_the_per_row_parse(self, tmp_path):
+        # float() accepts 1_000 and NumPy refuses it, so the file is read again one row at a time
+        path = tmp_path / "underscore.csv"
+        write_lines(path, ["date,u", "t0,1.0", "t1,1_000"])
+        assert load_csv(path).values.tolist() == [[1.0], [1000.0]]
 
 
 class TestSplitSpec:
