@@ -22,7 +22,11 @@ grouped module call over G in {2, 4, 8, 16} groups at n = 48 / G, for the same
 channel pairs at batch 32 (training) and 64 (inference). Each times forward
 plus backward as G separate 3-d calls ("sep") and, in a tree whose conv1d
 takes a group axis, as one grouped call ("grp"), and counts the minor page
-faults per call ("_faults" keys; the others are microseconds per call).
+faults per call ("_faults" keys; the others are microseconds per call). A
+tree's grouped call gets the layout its conv1d accepts, found by a probe
+whose axis sizes all differ: batch innermost, (G, C, n, batch), or the
+earlier (G, batch, C, n). The output names it per tree ("grouped_layout";
+null when the tree has no grouped conv1d).
 """
 
 import argparse
@@ -67,11 +71,30 @@ def _faults_per_call(fn, calls: int = 20) -> float:
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
 
 
+LAYOUTS = {"(G, C, n, batch)": (0, 2, 3, 1), "(G, batch, C, n)": (0, 1, 2, 3)}  # from (G, batch, C, n)
+
+
+def grouped_layout(tensor):
+    """The name of the grouped input layout this tree's conv1d accepts, or None."""
+    import numpy as np
+
+    x = np.zeros((2, 3, 5, 7))  # (G, batch, C, n), every axis a different size
+    w, b = tensor.Tensor(np.zeros((2, 4, 5, 3))), tensor.Tensor(np.zeros((2, 4)))
+    for name, axes in LAYOUTS.items():
+        try:
+            tensor.conv1d(tensor.Tensor(x.transpose(axes)), w, b)
+        except tensor.DimensionError:
+            continue
+        return name
+    return None
+
+
 def worker() -> None:
     import numpy as np
     from scinet import tensor
 
     rng = np.random.default_rng(0)
+    layout = grouped_layout(tensor)
     out = {}
     for batch, in_ch, out_ch, n in GRID:
         x = tensor.Tensor(rng.normal(size=(batch, in_ch, n)), requires_grad=True)
@@ -98,16 +121,15 @@ def worker() -> None:
                 loss = tensor.sum_all(tensor.conv1d(x, w, b))
             tensor.backward(loss, tape)
 
-        modes = {"sep": lambda: [run(x, w, b) for x, w, b in zip(xs, ws, bs)], "grp": lambda: run(xs, ws, bs)}
-        try:
-            modes["grp"]()
-        except tensor.DimensionError:  # a tree whose conv1d has no group axis
-            del modes["grp"]
+        modes = {"sep": lambda: [run(x, w, b) for x, w, b in zip(xs, ws, bs)]}
+        if layout is not None:
+            grouped = np.ascontiguousarray(xs.transpose(LAYOUTS[layout]))
+            modes["grp"] = lambda: run(grouped, ws, bs)
         for mode, fn in modes.items():
             key = f"b{batch}_g{groups}_c{in_ch}_o{out_ch}_n{n}_{mode}_fwd_bwd"
             out[key] = _per_call(fn) * 1e6
             out[key + "_faults"] = _faults_per_call(fn)
-    print(json.dumps(out))
+    print(json.dumps({"grouped_layout": layout, "timings": out}))
 
 
 def machine() -> dict:
@@ -139,16 +161,16 @@ def main() -> None:
             done = subprocess.run([sys.executable, __file__, "--worker"], env=dict(env, PYTHONPATH=src),
                                   check=True, capture_output=True, text=True)
             runs[src].append(json.loads(done.stdout))
-    result = {}
+    result, layouts = {}, {}
     for src, rounds in runs.items():
-        result[src] = {}
-        for key in rounds[0]:
-            q1, med, q3 = statistics.quantiles([run[key] for run in rounds], n=4, method="inclusive")
+        result[src], layouts[src] = {}, rounds[0]["grouped_layout"]
+        for key in rounds[0]["timings"]:
+            q1, med, q3 = statistics.quantiles([run["timings"][key] for run in rounds], n=4, method="inclusive")
             unit = "faults" if key.endswith("_faults") else "us"
             result[src][key] = {f"median_{unit}": round(med, 1), f"q1_{unit}": round(q1, 1),
                                 f"q3_{unit}": round(q3, 1)}
     print(json.dumps({"machine": machine(), "rounds": args.rounds, "repeats": REPEATS, "kernel": KERNEL,
-                      "timings": result}, indent=1))
+                      "grouped_layout": layouts, "timings": result}, indent=1))
 
 
 if __name__ == "__main__":

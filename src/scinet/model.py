@@ -12,6 +12,7 @@ recent input steps together with the previous stack's output.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .tensor import (
     concat_time,
     exp,
     gather_groups,
+    groups_to_children,
+    halves_to_groups,
     interleave_time,
     mean_all,
     mul,
@@ -118,27 +121,32 @@ def realign(parts: Tensor | list[Tensor]) -> Tensor:
     return interleave_time(*(parts[i] for i in order))
 
 
-def _children(groups: int, swapped: bool) -> np.ndarray:
-    """Rows of a level's output [first half of every block; second half] put in tree order: child
-    2g takes block g's even half, 2g+1 its odd half. ``swapped``: the odd halves come first."""
-    halves = np.arange(2 * groups).reshape(2, groups)
-    return (halves[::-1] if swapped else halves).T.ravel()
+@functools.lru_cache(maxsize=64)
+def _swap(groups: int) -> np.ndarray:
+    """Read-only rows [second half; first half] of 2·groups: pairs each half with the other's map."""
+    order = np.roll(np.arange(2 * groups), groups)
+    order.flags.writeable = False
+    return order
 
 
 class SCIBlock:
     """The split-and-interact units of one tree level, run as one grouped step.
 
     Level l applies G = 2^(l-1) blocks to disjoint sub-sequences of one length,
-    held as one (G, batch, C, n) tensor (the tree's input, (batch, C, n), is
-    one group). In each block the even half produces a multiplicative scale
+    held in the tree's layout as one (G, batch, C, n) tensor (the tree's input,
+    (batch, C, n), is one group). Inside the level the halves are held batch
+    innermost, (2G, C, n/2, batch): the G blocks' even halves, then their odd
+    halves, so every conv1d gathers whole batch rows and makes one GEMM per
+    group. In each block the even half produces a multiplicative scale
     (through exp) for the odd half and vice versa; each scaled half then
     receives an additive or subtractive correction computed from the other.
     ``scale`` is one grouped module over 2G groups holding the G blocks'
     scale_for_odd modules, then their scale_for_even modules; ``correct``
     holds correct_odd, then correct_even. Under weight sharing both are the
     level's G shared modules. ``no_interlearn`` removes the coupling entirely:
-    each half just runs through its own two modules. The output holds the
-    2G halves in tree order: (2G, batch, C, n/2).
+    each half just runs through its own two modules, odd halves first. The
+    output holds the 2G halves in tree order and layout: (2G, batch, C, n/2),
+    child 2g block g's even half and 2g+1 its odd half.
     """
 
     def __init__(self, scale: InteractionModule, correct: InteractionModule, sign: str, no_interlearn: bool):
@@ -148,20 +156,17 @@ class SCIBlock:
         self.no_interlearn = no_interlearn
 
     def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        even, odd = split_even_odd(x)
-        groups = 1 if x.data.ndim == 3 else x.shape[0]
+        halves = halves_to_groups(x, swapped=self.no_interlearn)
         if self.no_interlearn:  # [scale_for_odd(odd); scale_for_even(even)], then the corrections
-            halves = gather_groups((odd, even))
             new = self.correct.forward(self.scale.forward(halves, training, rng), training, rng)
-            return gather_groups((new,), _children(groups, swapped=True))
-        swap = np.roll(np.arange(2 * groups), groups)
-        halves = gather_groups((even, odd))
+            return groups_to_children(new, swapped=True)
+        swap = _swap(halves.shape[0] // 2)
         # [scale_for_odd(even); scale_for_even(odd)], swapped to pair each scale with its half
         scaled = mul(halves, exp(gather_groups((self.scale.forward(halves, training, rng),), swap)))
         # [correct_odd(scaled_even); correct_even(scaled_odd)], swapped likewise
         corrections = gather_groups((self.correct.forward(scaled, training, rng),), swap)
         new = add(scaled, corrections) if self.sign == "add" else sub(scaled, corrections)
-        return gather_groups((new,), _children(groups, swapped=False))
+        return groups_to_children(new)
 
 
 class _TreeNode:
@@ -196,9 +201,10 @@ class _TreeDraws:
     Each block draws for its four module calls in the order it makes them,
     blocks depth-first, so the rng stream is that of a block-by-block forward.
     Each draw lands in its block's row of its level's scale or correction
-    array; ``random(shape)`` stands in for the generator's inside
-    ``dropout_forward`` and hands these arrays out in the order the grouped
-    module calls ask for them.
+    array, (2G, batch, hidden, n) as a block-by-block forward draws it;
+    ``random(shape)`` stands in for the generator's inside ``dropout_forward``
+    and hands these arrays out in the order the grouped module calls ask for
+    them, in the modules' (2G, hidden, n, batch) layout.
     """
 
     def __init__(self, rng: np.random.Generator, config: "ModelConfig", batch: int):
@@ -215,7 +221,7 @@ class _TreeDraws:
         self.pending = [out for pair in per_level for out in pair]
 
     def random(self, shape: tuple[int, ...]) -> np.ndarray:
-        out = self.pending.pop(0)
+        out = np.ascontiguousarray(self.pending.pop(0).transpose(0, 2, 3, 1))
         if out.shape != shape:
             raise DimensionError(f"dropout draws of shape {out.shape} requested as {shape}")
         return out

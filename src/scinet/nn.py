@@ -50,8 +50,9 @@ class InteractionModule:
     the opening conv is Kaiming-uniform matched to the leaky-relu slope.
 
     ``stacked`` joins several modules into one grouped module: each of its four
-    tensors gains a leading group axis, and it maps (groups, batch, d, time)
-    with group g run by the g-th module's weights.
+    tensors gains a leading group axis, and it maps a tree level's halves,
+    (groups, d, time, batch) with batch innermost, with group g run by the
+    g-th module's weights. A single module maps (batch, d, time).
     """
 
     PARAMS = ("w_in", "b_in", "w_out", "b_out")
@@ -101,9 +102,9 @@ class InteractionModule:
         runs each group's weights on r inputs, so their gradients add."""
         weights = [getattr(self, name) for name in self.PARAMS]
         ndim = weights[0].data.ndim
-        if x.data.ndim != ndim or x.shape[-2] != self.channels or (ndim == 4 and x.shape[0] % weights[0].shape[0]):
-            lead = "(groups, " if ndim == 4 else "("
-            raise DimensionError(f"interaction module expects {lead}batch, {self.channels}, time), got {x.shape}")
+        if x.data.ndim != ndim or x.shape[1] != self.channels or (ndim == 4 and x.shape[0] % weights[0].shape[0]):
+            want = f"(groups, {self.channels}, time, batch)" if ndim == 4 else f"(batch, {self.channels}, time)"
+            raise DimensionError(f"interaction module expects {want}, got {x.shape}")
         if ndim == 4 and x.shape[0] != weights[0].shape[0]:
             weights = [gather_groups([t] * (x.shape[0] // t.shape[0])) for t in weights]
         w_in, b_in, w_out, b_out = weights

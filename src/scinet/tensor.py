@@ -6,8 +6,11 @@ Conventions fixed across the package:
 * conv1d is a cross-correlation (kernels are not flipped) with replication
   padding, so output length equals input length; it reads its taps through
   one cached clamped index, so no padded copy of the input exists, and its
-  backward rule keeps nothing but the input's and kernel's own arrays; a
-  leading group axis runs one kernel per group in one call
+  backward rule keeps nothing but the input's and kernel's own arrays
+* conv1d's grouped form runs one kernel per group in one call on
+  (groups, channels, time, batch), batch innermost, so every tap gather
+  moves whole batch rows and each group is one matrix product; a plain
+  (batch, channels, time) call is one group of it
 * inputs to exp are clamped to [-20, 20] and the gradient is zero outside
   the clamp
 * a Tape records operations in execution order, which is already a valid
@@ -19,6 +22,7 @@ Conventions fixed across the package:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -194,14 +198,13 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
 
 
 @functools.lru_cache(maxsize=64)
-def _taps(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only indices of the sample clip(t + j - (k-1)/2, 0, n-1), the replication
-    padding, that conv1d's tap j reads at time t: channel-major (j*n + t) and time-major
-    (t*k + j). They are in range, so gathers use mode="clip" and skip the raising check."""
-    src = np.clip(np.arange(n)[:, None] + np.arange(k) - (k - 1) // 2, 0, n - 1)  # [t, j]
-    channel_major, time_major = src.T.ravel(), src.ravel()
-    channel_major.flags.writeable = time_major.flags.writeable = False
-    return channel_major, time_major
+def _taps(n: int, k: int) -> np.ndarray:
+    """Read-only index, at j*n + t, of the sample clip(t + j - (k-1)/2, 0, n-1), the replication
+    padding, that conv1d's tap j reads at time t. It is in range, so gathers use mode="clip" and
+    skip the raising check."""
+    index = np.clip(np.arange(k)[:, None] + np.arange(n) - (k - 1) // 2, 0, n - 1).ravel()
+    index.flags.writeable = False
+    return index
 
 
 def _group_chunks(groups: int, per_group: int):
@@ -211,90 +214,95 @@ def _group_chunks(groups: int, per_group: int):
     return [slice(at, at + step) for at in range(0, groups, step)]
 
 
-def _conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray):
-    """Input, kernel and bias gradients of grouped conv1d, x (G, batch, in_ch, n), for its output gradient g.
+def _cols(x: np.ndarray, k: int) -> np.ndarray:
+    """im2col of x (G, in_ch, n, batch): (G, in_ch*k, n*batch), row c*k + j holding tap j of channel c,
+    x[:, c, clip(t+j-pad, 0, n-1), :], at columns t*batch .. t*batch + batch - 1. One gather along
+    time through the cached tap index, so each copy moves a whole batch row."""
+    groups, in_ch, n, batch = x.shape
+    return np.take(x, _taps(n, k), axis=2, mode="clip").reshape(groups, in_ch * k, n * batch)
 
-    Per group, both GEMMs are time-major (g2 has a row per batch and time). The kernel gradient's
-    other operand, k*in_ch taps per row, is gathered through the time-major tap index from a
-    contiguous (batch, n, in_ch) copy of x, both temporaries freed before the fold allocates.
-    The fold adds one (batch*n, in_ch) product per tap into the range it read on a buffer with
-    pad extra samples per side, whose ends then fold onto the edge samples they clamp to. Each
-    chunk of groups allocates its own results after its temporaries are gone; several chunks'
-    results are concatenated.
+
+def _conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray):
+    """Input, kernel and bias gradients of grouped conv1d, x (G, in_ch, n, batch), for its output gradient g.
+
+    Per group, g2 = g.reshape(out_ch, n*batch) is a view. The kernel gradient is g2 @ colsT, already
+    in the kernel's (out_ch, in_ch, k) order. The input gradient is w2T @ g2, one (in_ch, n, batch)
+    block per tap, added tap by tap into the range it read on a buffer with pad extra samples per
+    side, whose ends then fold onto the edge samples they clamp to. Each chunk of groups writes into
+    the preallocated results.
     """
-    (groups, out_ch, in_ch, k), (_, batch, _, n) = wd.shape, g.shape
+    (groups, out_ch, in_ch, k), (_, _, n, batch) = wd.shape, xd.shape
     pad = (k - 1) // 2
-    chunks = []
+    gx, gw = np.empty_like(xd), np.empty_like(wd)
     for at in _group_chunks(groups, batch * n * k * max(in_ch, out_ch)):
-        gg = g[at]
-        size = gg.shape[0]
-        g2 = gg.transpose(0, 1, 3, 2).reshape(size, batch * n, out_ch)
-        gw = np.matmul(
-            g2.transpose(0, 2, 1),
-            np.take(np.ascontiguousarray(xd[at].transpose(0, 1, 3, 2)), _taps(n, k)[1], axis=2,
-                    mode="clip").reshape(size, batch * n, k * in_ch),
-        )
-        per_tap = np.matmul(g2[:, None], wd[at].transpose(0, 3, 1, 2)).reshape(size, k, batch, n, in_ch)
-        gp = np.empty((size, batch, n + 2 * pad, in_ch))  # the first tap fills it, so no zeroing pass
-        gp[:, :, :n] = per_tap[:, 0]
+        g2 = g[at].reshape(-1, out_ch, n * batch)
+        w2 = wd[at].reshape(-1, out_ch, in_ch * k)
+        np.matmul(g2, _cols(xd[at], k).transpose(0, 2, 1), out=gw[at].reshape(w2.shape))
+        per_tap = np.matmul(w2.transpose(0, 2, 1), g2).reshape(-1, in_ch, k, n, batch)
+        gp = np.empty((per_tap.shape[0], in_ch, n + 2 * pad, batch))  # the first tap fills it, so no zeroing pass
+        gp[:, :, :n] = per_tap[:, :, 0]
         gp[:, :, n:] = 0.0
         for j in range(1, k):
-            gp[:, :, j:j + n] += per_tap[:, j]
+            gp[:, :, j:j + n] += per_tap[:, :, j]
         del per_tap
-        gx = np.ascontiguousarray(gp[:, :, pad:pad + n].transpose(0, 1, 3, 2))
+        gx[at] = gp[:, :, pad:pad + n]
         if pad:
-            gx[:, :, :, 0] += gp[:, :, :pad].sum(axis=2)
-            gx[:, :, :, -1] += gp[:, :, pad + n:].sum(axis=2)
-        chunks.append((gx, np.ascontiguousarray(gw.reshape(size, out_ch, k, in_ch).transpose(0, 1, 3, 2)),
-                       gg.sum(axis=(1, 3))))
-    return chunks[0] if len(chunks) == 1 else tuple(np.concatenate(parts) for parts in zip(*chunks))
+            gx[at, :, 0] += gp[:, :, :pad].sum(axis=2)
+            gx[at, :, -1] += gp[:, :, pad + n:].sum(axis=2)
+    return gx, gw, g.sum(axis=(2, 3))
+
+
+def _batch_last(a: np.ndarray) -> np.ndarray:
+    """(batch, C, n) as one group of the grouped layout, (1, C, n, batch)."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0))[None]
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Length-preserving 1-D cross-correlation over the last axis, with replication padding.
+    """Length-preserving 1-D cross-correlation over the time axis, with replication padding.
 
     x: (batch, in_ch, n), w: (out_ch, in_ch, k) with k odd, b: (out_ch,). With pad = (k-1)/2,
-    out[o, t] = sum_{c,j} w[o,c,j] * x[c, clip(t+j-pad, 0, n-1)] + b[o]. The sum is one GEMM
-    (im2col): one gather through the cached clamped tap index (``_taps``), with no padded
-    buffer, builds cols (batch, in_ch*k, n) with cols[:, c*k + j, t] = x[:, c, clip(t+j-pad)],
-    the row order of w.reshape(out_ch, in_ch*k), so out = w2 @ cols + b. The backward rule
-    keeps only x's and w's own arrays, so the tape holds no conv1d buffer.
+    out[o, t] = sum_{c,j} w[o,c,j] * x[c, clip(t+j-pad, 0, n-1)] + b[o].
 
-    With a leading group axis, x (G, batch, in_ch, n), w (G, out_ch, in_ch, k) and b (G, out_ch),
-    group g convolves x[g] with w[g] and b[g] through the same gather and GEMM shapes, so each
-    group's output and gradients are bit-identical to a separate call. Groups run in chunks
-    whose largest temporary stays under CONV_CHUNK_BYTES.
+    Grouped form: x (G, in_ch, n, batch), batch innermost, w (G, out_ch, in_ch, k) and b (G, out_ch)
+    give out (G, out_ch, n, batch); group g convolves x[g] with w[g] and b[g]. Per group the sum is
+    one GEMM (im2col): one gather through the cached clamped tap index (``_taps``), with no padded
+    buffer, builds cols (in_ch*k, n*batch) in the row order of w.reshape(out_ch, in_ch*k), so
+    out = w2 @ cols + b is already (out_ch, n, batch). Groups run in chunks whose largest temporary
+    stays under CONV_CHUNK_BYTES, each writing into the preallocated output; a group's output and
+    gradients do not depend on the chunking. A 3-d call runs as one group, so it is bit-identical
+    to that group of a grouped call. The backward rule keeps only x's and w's own arrays, so the
+    tape holds no conv1d buffer.
     """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim not in (3, 4):
-        raise DimensionError(f"conv1d: input must be (batch, channels, time), optionally grouped, got {xd.shape}")
+        raise DimensionError(f"conv1d: input must be (batch, channels, time) or (groups, channels, time, batch), "
+                             f"got {xd.shape}")
     if wd.ndim != xd.ndim or bd.ndim != xd.ndim - 2:
         raise DimensionError(f"conv1d: kernel and bias must match the input's grouping, got {wd.shape} and {bd.shape}")
-    xg, wg, bg = (xd, wd, bd) if xd.ndim == 4 else (xd[None], wd[None], bd[None])  # 3-d: one group
+    xg, wg, bg = (xd, wd, bd) if xd.ndim == 4 else (_batch_last(xd), wd[None], bd[None])  # 3-d: one group
     groups, out_ch, in_ch, k = wg.shape
     if k % 2 == 0:
         raise ConfigError(f"conv1d: kernel size must be odd, got {k}")
-    if xg.shape[2] != in_ch:
-        raise DimensionError(f"conv1d: input has {xg.shape[2]} channels, kernel expects {in_ch}")
+    if xg.shape[1] != in_ch:
+        raise DimensionError(f"conv1d: input has {xg.shape[1]} channels, kernel expects {in_ch}")
     if bg.shape[1] != out_ch:
         raise DimensionError(f"conv1d: bias has {bg.shape[1]} channels, kernel yields {out_ch}")
     if xg.shape[0] != groups or bg.shape[0] != groups:
         raise DimensionError(f"conv1d: {xg.shape[0]} input groups, {groups} kernel and {bg.shape[0]} bias groups")
-    _, batch, _, n = xg.shape
-    outs = [  # each chunk's output is allocated after its gather, as a separate call's would be
-        np.matmul(wg[at].reshape(-1, 1, out_ch, in_ch * k),
-                  np.take(xg[at], _taps(n, k)[0], axis=3, mode="clip").reshape(-1, batch, in_ch * k, n))
-        for at in _group_chunks(groups, batch * n * k * max(in_ch, out_ch))
-    ]
-    out = outs[0] if len(outs) == 1 else np.concatenate(outs)
-    out += bg[:, None, :, None]
+    _, _, n, batch = xg.shape
+    out = np.empty((groups, out_ch, n, batch))
+    for at in _group_chunks(groups, batch * n * k * max(in_ch, out_ch)):
+        w2 = wg[at].reshape(-1, out_ch, in_ch * k)
+        np.matmul(w2, _cols(xg[at], k), out=out[at].reshape(w2.shape[0], out_ch, n * batch))
+    out += bg[:, :, None, None]
 
     def rule(g):
         if xd.ndim == 4:
             return _conv1d_grads(g, xd, wd)
-        return tuple(part[0] for part in _conv1d_grads(g[None], xd[None], wd[None]))
+        gx, gw, gb = _conv1d_grads(_batch_last(g), _batch_last(xd), wd[None])
+        return np.ascontiguousarray(gx[0].transpose(2, 0, 1)), gw[0], gb[0]
 
-    return _emit(out if xd.ndim == 4 else out[0], (x, w, b), rule)
+    return _emit(out if xd.ndim == 4 else out[0].transpose(2, 0, 1), (x, w, b), rule)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -382,7 +390,7 @@ def gather_groups(parts: Sequence[Tensor], order: Sequence[int] | None = None) -
             raise DimensionError(f"gather_groups: group shapes differ, {datas[0].shape[1:]} vs {d.shape[1:]}")
     cat = datas[0] if len(datas) == 1 else np.concatenate(datas)
     out = cat.copy() if order is None else cat[order]
-    bounds = np.cumsum([0] + [d.shape[0] for d in datas]).tolist()
+    bounds = [0, *itertools.accumulate(d.shape[0] for d in datas)]
     shapes = [p.data.shape for p in parts]
 
     def rule(g):
@@ -391,6 +399,42 @@ def gather_groups(parts: Sequence[Tensor], order: Sequence[int] | None = None) -
         return tuple(g[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes))
 
     return _emit(out, tuple(parts), rule)
+
+
+def halves_to_groups(x: Tensor, swapped: bool = False) -> Tensor:
+    """Split the time axis of x (G, batch, C, n) into its even and odd halves, stacked on the group axis
+    with batch moved innermost: out (2G, C, n/2, batch), out[h*G + g, c, t, b] = x[g, b, c, 2t + h].
+
+    ``swapped`` puts the odd halves first. A 3-d x, (batch, C, n), is one group.
+    """
+    xd = x.data
+    xg = xd[None] if xd.ndim == 3 else xd
+    if xg.ndim != 4 or xg.shape[-1] % 2:
+        raise DimensionError(f"halves_to_groups: needs (groups, batch, channels, even time length), got {xd.shape}")
+    groups, batch, ch, n = xg.shape
+    step = -1 if swapped else 1
+    out = xg.reshape(groups, batch, ch, n // 2, 2)[..., ::step].transpose(4, 0, 2, 3, 1)
+
+    def rule(g):
+        return (g.reshape(2, groups, ch, n // 2, batch)[::step].transpose(1, 4, 2, 3, 0).reshape(xd.shape),)
+
+    return _emit(out.reshape(2 * groups, ch, n // 2, batch), (x,), rule)
+
+
+def groups_to_children(x: Tensor, swapped: bool = False) -> Tensor:
+    """Inverse layout of ``halves_to_groups``: x (2G, C, m, batch), the G even halves then the G odd halves
+    (odd first if ``swapped``), becomes (2G, batch, C, m) with row 2g + h holding group g's half h."""
+    xd = x.data
+    if xd.ndim != 4 or xd.shape[0] % 2:
+        raise DimensionError(f"groups_to_children: needs (2 * groups, channels, time, batch), got {xd.shape}")
+    halves, ch, m, batch = xd.shape
+    step = -1 if swapped else 1
+    out = xd.reshape(2, halves // 2, ch, m, batch)[::step].transpose(1, 0, 4, 2, 3).reshape(halves, batch, ch, m)
+
+    def rule(g):
+        return (g.reshape(halves // 2, 2, batch, ch, m).transpose(1, 0, 3, 4, 2)[::step].reshape(xd.shape),)
+
+    return _emit(out, (x,), rule)
 
 
 def concat_time(a: Tensor, b: Tensor) -> Tensor:

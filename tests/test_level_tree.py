@@ -180,11 +180,11 @@ def test_slab_adam_steps_like_a_per_block_adam(clip_norm):
         assert b.data.tobytes() == view.data.tobytes(), name
 
 
-@pytest.mark.parametrize("levels,stacks,nodes", [(4, 2, 163), (3, 1, 60)])
+@pytest.mark.parametrize("levels,stacks,nodes", [(4, 2, 149), (3, 1, 56)])
 def test_a_training_step_records_a_few_nodes_per_level(levels, stacks, nodes):
-    # 19 per level: split (2), [even; odd] (1), two grouped modules (5 each), exp and its swap (2),
-    # the scaled halves (1), the correction's swap (1), the sum (1), the children's order (1); the
-    # first tree's first split and [even; odd] read the untracked batch. Then per tree realign,
+    # 17 per level: the [even; odd] halves (1), two grouped modules (5 each), exp and its swap (2),
+    # the scaled halves (1), the correction's swap (1), the sum (1), the children (1); the first
+    # tree's first halves read the untracked batch. Then per tree realign,
     # residual and decoder; between trees the stacked input (1); the loss (3 per stack, plus sums).
     cfg = ModelConfig(look_back=48, horizon=24, n_variates=3, levels=levels, stacks=stacks)
     model = build_model(cfg)

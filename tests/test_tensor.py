@@ -17,6 +17,8 @@ from scinet.tensor import (
     exp,
     finite_diff_check,
     gather_groups,
+    groups_to_children,
+    halves_to_groups,
     interleave_time,
     leaky_relu,
     linear,
@@ -270,11 +272,11 @@ class TestConv1d:
         assert cells and all(c is x.data or c is w.data for c in cells)
 
     def test_tap_indices_are_cached_read_only(self):
-        channel_major, time_major = _taps(6, 5)
-        assert _taps(6, 5)[0] is channel_major
-        for index in (channel_major, time_major):
-            with pytest.raises(ValueError):
-                index[0] = 1
+        index = _taps(6, 5)
+        assert _taps(6, 5) is index
+        npt.assert_array_equal(index[:6], [0, 0, 0, 1, 2, 3])  # tap 0 reads two samples back, clamped
+        with pytest.raises(ValueError):
+            index[0] = 1
 
 
 class TestLinear:
@@ -510,30 +512,80 @@ class TestGroupedOps:
     )
     @settings(max_examples=60, deadline=None)
     def test_grouped_conv1d_is_separate_calls_bit_for_bit(self, groups, batch, in_ch, out_ch, k, n, chunk, seed):
-        # each group runs the gather and GEMM shapes of its own 3-d call, whatever the chunking
+        # group g of x (G, C, n, B) is the 3-d call on x[g] moved to (B, C, n), whatever the chunking
         rng = np.random.default_rng(seed)
-        x, w, b = rng.normal(size=(groups, batch, in_ch, n)), rng.normal(size=(groups, out_ch, in_ch, k)), \
+        x, w, b = rng.normal(size=(groups, in_ch, n, batch)), rng.normal(size=(groups, out_ch, in_ch, k)), \
             rng.normal(size=(groups, out_ch))
-        g = rng.normal(size=(groups, batch, out_ch, n))
+        g = rng.normal(size=(groups, out_ch, n, batch))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tensor_module, "CONV_CHUNK_BYTES", chunk)
-            grouped = [leaf(x), leaf(w), leaf(b)]
             with Tape() as tape:
-                out = conv1d(*grouped)
-            grads = tape.nodes[-1].rule(g)
+                out = conv1d(leaf(x), leaf(w), leaf(b))
+            gx, gw, gb = tape.nodes[-1].rule(g)
+        batch_first = (2, 0, 1)  # (C, n, B) -> (B, C, n)
         for i in range(groups):
-            alone = [leaf(x[i]), leaf(w[i]), leaf(b[i])]
             with Tape() as tape:
-                ref = conv1d(*alone)
-            assert out.data[i].tobytes() == ref.data.tobytes()
-            for got, want in zip(grads, tape.nodes[-1].rule(g[i])):
-                assert got[i].tobytes() == want.tobytes()
+                ref = conv1d(leaf(x[i].transpose(batch_first)), leaf(w[i]), leaf(b[i]))
+            rx, rw, rb = tape.nodes[-1].rule(np.ascontiguousarray(g[i].transpose(batch_first)))
+            assert np.ascontiguousarray(out.data[i].transpose(batch_first)).tobytes() == ref.data.tobytes()
+            assert np.ascontiguousarray(gx[i].transpose(batch_first)).tobytes() == rx.tobytes()
+            assert gw[i].tobytes() == rw.tobytes() and gb[i].tobytes() == rb.tobytes()
+
+    @given(
+        groups=st.integers(1, 3), batch=st.integers(1, 3), in_ch=st.integers(1, 3), out_ch=st.integers(1, 3),
+        k=st.sampled_from([1, 3, 5, 7]), n=st.integers(1, 10), seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_grouped_conv1d_matches_tap_by_tap_reference(self, groups, batch, in_ch, out_ch, k, n, seed):
+        rng = np.random.default_rng(seed)
+        xd, wd = rng.normal(size=(groups, in_ch, n, batch)), rng.normal(size=(groups, out_ch, in_ch, k))
+        bd, probe = rng.normal(size=(groups, out_ch)), rng.normal(size=(groups, out_ch, n, batch))
+        pad = (k - 1) // 2
+        source = np.clip(np.arange(n + 2 * pad) - pad, 0, n - 1)
+        padded = xd[:, :, source]
+        out = np.broadcast_to(bd[:, :, None, None], probe.shape).copy()
+        gw, gx = np.zeros_like(wd), np.zeros_like(xd)
+        for j in range(k):
+            tap = padded[:, :, j:j + n]
+            out += np.einsum("goc,gctb->gotb", wd[..., j], tap)
+            gw[..., j] = np.einsum("gotb,gctb->goc", probe, tap)
+            np.add.at(gx, (slice(None), slice(None), source[j:j + n]), np.einsum("goc,gotb->gctb", wd[..., j], probe))
+        x, w, b = leaf(xd), leaf(wd), leaf(bd)
+        with Tape() as tape:
+            y = conv1d(x, w, b)
+            loss = sum_all(mul(y, Tensor(probe)))
+        backward(loss, tape)
+        for got, want in ((y.data, out), (x.grad, gx), (w.grad, gw), (b.grad, probe.sum(axis=(2, 3)))):
+            npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_grouped_conv1d_checks_group_counts(self):
         with pytest.raises(DimensionError, match="groups"):
-            conv1d(leaf(np.zeros((2, 1, 3, 4))), leaf(np.zeros((3, 2, 3, 3))), leaf(np.zeros((3, 2))))
+            conv1d(leaf(np.zeros((2, 3, 4, 1))), leaf(np.zeros((3, 2, 3, 3))), leaf(np.zeros((3, 2))))
         with pytest.raises(DimensionError, match="grouping"):
-            conv1d(leaf(np.zeros((2, 1, 3, 4))), leaf(np.zeros((2, 3, 3))), leaf(np.zeros(2)))
+            conv1d(leaf(np.zeros((2, 3, 4, 1))), leaf(np.zeros((2, 3, 3))), leaf(np.zeros(2)))
+        with pytest.raises(DimensionError, match="channels"):  # channels are axis 1: (G, C, n, B)
+            conv1d(leaf(np.zeros((2, 1, 3, 4))), leaf(np.zeros((2, 2, 3, 3))), leaf(np.zeros((2, 2))))
+
+    @given(
+        groups=st.integers(1, 3), batch=st.integers(1, 3), ch=st.integers(1, 3), half=st.integers(1, 3),
+        grouped=st.booleans(), swapped=st.booleans(), seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_level_layout_ops_values_and_gradients(self, groups, batch, ch, half, grouped, swapped, seed):
+        rng = np.random.default_rng(seed)
+        x = leaf(rng.normal(size=(groups, batch, ch, 2 * half) if grouped else (batch, ch, 2 * half)))
+        xg = x.data if grouped else x.data[None]
+        even, odd = xg[..., 0::2], xg[..., 1::2]
+        first, second = (odd, even) if swapped else (even, odd)
+        halves = halves_to_groups(x, swapped)
+        npt.assert_array_equal(halves.data, np.concatenate([first, second]).transpose(0, 2, 3, 1))
+        children = groups_to_children(halves, swapped)
+        npt.assert_array_equal(children.data, np.stack([even, odd], axis=1).reshape(-1, batch, ch, half))
+        h = leaf(halves.data)
+        probe = leaf(rng.normal(size=halves.shape), requires_grad=False)
+        assert finite_diff_check(lambda: sum_all(mul(halves_to_groups(x, swapped), probe)), [x]) < 1e-6
+        child_probe = leaf(rng.normal(size=children.shape), requires_grad=False)
+        assert finite_diff_check(lambda: sum_all(mul(groups_to_children(h, swapped), child_probe)), [h]) < 1e-6
 
     def test_gather_groups_values_and_gradient(self):
         rng = np.random.default_rng(0)
