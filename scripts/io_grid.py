@@ -16,6 +16,11 @@ faults per call ("_faults" keys; the others are milliseconds per call):
 - ``emit``: ``cli.cmd_predict`` with the checkpoint restore and the model's
   forward replaced by fixed arrays, so what is timed is the windowing and the
   writing of the forecast CSV, at look-back 48 and horizon 24 (perfbench's).
+  The patched restore returns the file's values as the normalized series. A
+  tree whose predict takes the truth column from that series (each cell
+  formatted once) never reads the patched forward's random ``truth`` array;
+  the timing still covers the whole emission, which writes the same number
+  of rows and cells either way.
   Rows {400, 2000} x variates {3, 7, 21}: 400 rows at 21 variates emit
   165,816 rows, the size of ``train_wide``'s predict. 17,420 rows are left
   out here: at 21 variates they would emit 8.7 million rows (0.4 GB of text)

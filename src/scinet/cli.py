@@ -270,17 +270,20 @@ def cmd_predict(args) -> int:
     cfg = model.config
     [dataset] = _windows(frame, values, [(0, frame.length)], cfg.look_back, cfg.horizon)
     scale = args.scale or extras["metrics_scale"]
-    pred, truth = _in_scale(stats, scale, *predict_windows(model, dataset))
+    [pred] = _in_scale(stats, scale, predict_windows(model, dataset)[0])
     windows, variates, horizon = pred.shape
     # rows run window, step, variate; a window's id is its first kept row, so excluded ids are skipped.
     # They are written as csv.writer's default dialect would (\r\n line ends, floats as their repr,
-    # no field that needs quoting), one window at a time, so the text in memory stays one window's.
+    # no field that needs quoting), one window at a time. A window's truths are the series rows after
+    # its look-back, so each series cell is formatted once and its text reused by every window covering it.
+    series = stats.invert(values) if scale == "original" else values
+    cells = [repr(x) for x in series.ravel().tolist()]
     steps = [f"{step},{v}," for step in range(1, horizon + 1) for v in range(variates)]
-    truth, pred = (a.swapaxes(1, 2).reshape(windows, -1) for a in (truth, pred))
     with replacing(args.emit, newline="") as fh:
         fh.write("window_id,step,variate,truth,prediction\r\n")
-        for w, t, p in zip(dataset.starts.tolist(), truth, pred):
-            fh.write("".join([f"{w},{step}{x!r},{y!r}\r\n" for step, x, y in zip(steps, t.tolist(), p.tolist())]))
+        for w, p in zip(dataset.starts.tolist(), pred.swapaxes(1, 2).reshape(windows, -1)):
+            t = cells[(w + cfg.look_back) * variates:(w + cfg.look_back + horizon) * variates]
+            fh.write("".join([f"{w},{step}{x},{y!r}\r\n" for step, x, y in zip(steps, t, p.tolist())]))
     print(f"windows={windows} rows={windows * variates * horizon} emitted={args.emit}")
     return 0
 

@@ -281,7 +281,8 @@ def replacing(path: str, mode: str = "w", **kwargs):
     """Open ``<path>.tmp`` for writing; once the block ends, sync it and rename it onto ``path``.
 
     The rename is atomic, so a write that fails part-way leaves the previous
-    file intact, and the partial ``.tmp`` is removed. ``kwargs`` go to ``open``.
+    file intact, and the partial ``.tmp`` is removed. An ``OSError`` is raised
+    again naming ``path``, not the ``.tmp``. ``kwargs`` go to ``open``.
     """
     tmp = f"{path}.tmp"
     try:
@@ -290,9 +291,11 @@ def replacing(path: str, mode: str = "w", **kwargs):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(e, OSError):
+            raise OSError(f"cannot write {path}: {e.strerror or e}") from e
         raise
 
 

@@ -1,26 +1,33 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
 from dataclasses import fields
 from datetime import datetime, timedelta
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scinet import cli
 from scinet.cli import (
+    SCALES,
     RunConfig,
     main,
     parse_kv_file,
     parse_overrides,
     resolve_config,
 )
-from scinet.data import load_csv, synthetic_frame, write_csv
+from scinet.data import TimeSeriesFrame, load_csv, synthetic_frame, write_csv
 from scinet.errors import ConfigError
 from scinet.model import ModelConfig
-from scinet.train import TrainConfig, load_checkpoint, save_checkpoint
+from scinet.train import TrainConfig, load_checkpoint, predict_windows, save_checkpoint
 
 
 def write_dataset(path, n=120, d=2, seed=0):
@@ -331,10 +338,19 @@ class TestPredictCommand:
 
     def test_emitted_csv_bytes_match_per_cell_repr(self, trained, tmp_path, capsys, monkeypatch):
         # values whose text is easy to get wrong: a signed zero, a tiny normal
-        # and a repeating fraction; rows run window, step, variate
+        # and a repeating fraction; rows run window, step, variate. The truth
+        # column is the series after each look-back, so its values come in
+        # through the series, and the prediction column through the forward.
+        series = np.resize([2.0 / 3.0, 7.0, -0.0, 0.1, 1e-300], (14, 2))  # look-back 8 + horizon 4: 3 windows
         pred = np.resize([-0.0, 1e-300, 2.0 / 3.0, -1.5], (3, 2, 4))
-        truth = np.resize([2.0 / 3.0, 7.0, -0.0, 0.1, 1e-300], (3, 2, 4))
-        monkeypatch.setattr(cli, "predict_windows", lambda model, dataset: (pred, truth))
+        restore = cli._restore
+
+        def restore_series(checkpoint, data):
+            model, extras, stats, _, _ = restore(checkpoint, data)
+            return model, extras, stats, TimeSeriesFrame(series, ["a", "b"]), series
+
+        monkeypatch.setattr(cli, "_restore", restore_series)
+        monkeypatch.setattr(cli, "predict_windows", lambda model, dataset: (pred, np.full_like(pred, 5.0)))
         emit = tmp_path / "pred.csv"
         rc = main(["predict", str(trained.ckpt), str(trained.data), "--emit", str(emit), "--scale", "normalized"])
         assert rc == 0
@@ -343,8 +359,54 @@ class TestPredictCommand:
         for w in range(3):
             for s in range(4):
                 for v in range(2):
-                    expected.append(f"{w},{s + 1},{v},{float(truth[w, v, s])!r},{float(pred[w, v, s])!r}")
+                    expected.append(f"{w},{s + 1},{v},{float(series[w + 8 + s, v])!r},{float(pred[w, v, s])!r}")
         assert emit.read_bytes() == ("\r\n".join(expected) + "\r\n").encode()
+
+    @given(
+        n=st.integers(50, 80), magnitude=st.integers(-200, 100), seed=st.integers(0, 1000),
+        gaps=st.dictionaries(st.integers(0, 49), st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3),
+        scale=st.sampled_from(SCALES),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_emitted_csv_is_the_per_cell_repr_of_the_forward(self, trained, n, magnitude, seed, gaps, scale):
+        # the file holds, row by row, the repr of predict_windows' own truth and
+        # prediction for each kept window, in the scale asked for
+        seen = []
+
+        def spy(model, dataset):
+            seen.append((dataset.starts, *predict_windows(model, dataset)))
+            return seen[-1][1:]
+
+        with tempfile.TemporaryDirectory() as root, mock.patch.object(cli, "predict_windows", spy), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            data, emit = os.path.join(root, "d.csv"), os.path.join(root, "p.csv")
+            frame = write_dataset(data, n=n, seed=seed)
+            frame.values *= 10.0 ** magnitude  # shift the exponent of every value
+            for row, value in gaps.items():
+                frame.values[row, row % 2] = value
+            write_csv(frame, data)
+            assert main(["predict", str(trained.ckpt), data, "--emit", emit, "--scale", scale]) == 0
+            with open(emit, "rb") as fh:
+                got = fh.read()
+        [(starts, pred, truth)] = seen
+        kept = [row for row in range(n) if row not in gaps]
+        # a window starting at kept row i reads kept rows i..i+11, which must be consecutive in the file
+        assert starts.tolist() == [i for i in range(len(kept) - 11) if kept[i + 11] - kept[i] == 11]
+        if scale == "original":
+            extras = load_checkpoint(trained.ckpt)[1]["extras"]
+            mean, std = (np.array(extras[key])[:, None] for key in ("norm_mean", "norm_std"))
+            pred, truth = pred * std + mean, truth * std + mean
+        rows = [f"{w},{s + 1},{v},{float(truth[i, v, s])!r},{float(pred[i, v, s])!r}\r\n"
+                for i, w in enumerate(starts.tolist()) for s in range(4) for v in range(2)]
+        assert got == ("window_id,step,variate,truth,prediction\r\n" + "".join(rows)).encode()
+
+
+def test_unwritable_output_names_the_path_given(trained, tmp_path, capsys):
+    for flag, command in (("--out", "eval"), ("--emit", "predict")):
+        for out, reason in ((tmp_path / "nodir" / "o", "No such file or directory"), (tmp_path, "Is a directory")):
+            assert main([command, str(trained.ckpt), str(trained.data), flag, str(out)]) == 1
+            assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+            assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command,flag", [("eval", "--out"), ("predict", "--emit")])

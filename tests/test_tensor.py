@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scinet.errors import ConfigError, DimensionError, NumericError, UsageError
@@ -571,6 +571,8 @@ class TestGroupedOps:
         grouped=st.booleans(), swapped=st.booleans(), seed=st.integers(0, 1000),
     )
     @settings(max_examples=30, deadline=None)
+    # a finite-difference check of these gradients reads 1.5e-6 here from rounding alone
+    @example(groups=1, batch=1, ch=3, half=3, grouped=False, swapped=True, seed=475)
     def test_level_layout_ops_values_and_gradients(self, groups, batch, ch, half, grouped, swapped, seed):
         rng = np.random.default_rng(seed)
         x = leaf(rng.normal(size=(groups, batch, ch, 2 * half) if grouped else (batch, ch, 2 * half)))
@@ -581,11 +583,20 @@ class TestGroupedOps:
         npt.assert_array_equal(halves.data, np.concatenate([first, second]).transpose(0, 2, 3, 1))
         children = groups_to_children(halves, swapped)
         npt.assert_array_equal(children.data, np.stack([even, odd], axis=1).reshape(-1, batch, ch, half))
+        # both ops are permutations, so each gradient is its probe moved back exactly
         h = leaf(halves.data)
-        probe = leaf(rng.normal(size=halves.shape), requires_grad=False)
-        assert finite_diff_check(lambda: sum_all(mul(halves_to_groups(x, swapped), probe)), [x]) < 1e-6
-        child_probe = leaf(rng.normal(size=children.shape), requires_grad=False)
-        assert finite_diff_check(lambda: sum_all(mul(groups_to_children(h, swapped), child_probe)), [h]) < 1e-6
+        probe = rng.normal(size=halves.shape)
+        child_probe = rng.normal(size=children.shape)
+        with Tape() as tape:
+            loss = add(sum_all(mul(halves_to_groups(x, swapped), Tensor(probe))),
+                       sum_all(mul(groups_to_children(h, swapped), Tensor(child_probe))))
+        backward(loss, tape)
+        pf, ps = np.split(probe.transpose(0, 3, 1, 2), 2)
+        gx = np.empty_like(xg)
+        gx[..., 0::2], gx[..., 1::2] = (ps, pf) if swapped else (pf, ps)
+        npt.assert_array_equal(x.grad, gx if grouped else gx[0])
+        ce, co = child_probe.reshape(-1, 2, batch, ch, half).swapaxes(0, 1)
+        npt.assert_array_equal(h.grad, np.concatenate((co, ce) if swapped else (ce, co)).transpose(0, 2, 3, 1))
 
     def test_gather_groups_values_and_gradient(self):
         rng = np.random.default_rng(0)
