@@ -9,6 +9,7 @@ validation failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import math
@@ -153,6 +154,18 @@ def _assign(cfg: RunConfig, key: str, value: str, source: str):
         ) from None
 
 
+def _check_writable(path: str, parent_made: bool = False) -> None:
+    """Raise now, before any work, the error that writing ``path`` through ``replacing`` would end
+    with: ``path`` is a directory, or its directory is missing (unless the writer makes it)."""
+    if os.path.isdir(path):
+        reason = errno.EISDIR
+    elif not parent_made and not os.path.isdir(os.path.dirname(path) or "."):
+        reason = errno.ENOENT
+    else:
+        return
+    raise OSError(f"cannot write {path}: {os.strerror(reason)}")
+
+
 def _timestamp_column(name: str) -> str | None:
     return None if name.strip().lower() == "none" else name
 
@@ -199,6 +212,7 @@ def cmd_train(args, overrides: dict[str, str]) -> int:
     cfg = resolve_config(parse_kv_file(args.config), overrides)
     if not cfg.data_path:
         raise ConfigError("data_path is required for training")
+    _check_writable(cfg.checkpoint_path, parent_made=True)  # save_checkpoint makes its directory
     frame, stats, model, result, (train_ds, val_ds, test_ds) = _train_once(cfg, log=print)
     test_report = compute_metrics(*_in_scale(stats, cfg.metrics_scale, *predict_windows(model, test_ds)))
     extras = {
@@ -251,6 +265,7 @@ def _restore(checkpoint: str, data: str):
 
 
 def cmd_eval(args) -> int:
+    _check_writable(args.out)
     model, extras, stats, frame, values = _restore(args.checkpoint, args.data)
     ranges = split(frame, SplitSpec.parse(extras["split"]))
     cfg = model.config
@@ -266,6 +281,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_writable(args.emit)
     model, extras, stats, frame, values = _restore(args.checkpoint, args.data)
     cfg = model.config
     [dataset] = _windows(frame, values, [(0, frame.length)], cfg.look_back, cfg.horizon)

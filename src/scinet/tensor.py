@@ -6,7 +6,9 @@ Conventions fixed across the package:
 * conv1d is a cross-correlation (kernels are not flipped) with replication
   padding, so output length equals input length; it reads its taps through
   one cached clamped index, so no padded copy of the input exists, and its
-  backward rule keeps nothing but the input's and kernel's own arrays
+  backward rule keeps nothing but the input's and kernel's own arrays and
+  builds both gradients from one gather of the output gradient through the
+  transpose of that index
 * conv1d's grouped form runs one kernel per group in one call on
   (groups, channels, time, batch), batch innermost, so every tap gather
   moves whole batch rows and each group is one matrix product; a plain
@@ -191,10 +193,19 @@ def tanh(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     xd = x.data
-    # for 0 <= slope <= 1, max(x, slope*x) is x exactly where x >= 0 (signed zeros included)
-    # and slope*x elsewhere, without a masked select
-    out = np.maximum(xd, slope * xd) if 0.0 <= slope <= 1.0 else np.where(xd >= 0.0, xd, slope * xd)
-    return _emit(out, (x,), lambda g: (g * np.where(xd >= 0.0, 1.0, slope),))
+    if not 0.0 <= slope <= 1.0:
+        return _emit(np.where(xd >= 0.0, xd, slope * xd), (x,), lambda g: (g * np.where(xd >= 0.0, 1.0, slope),))
+
+    # for 0 <= slope <= 1 neither direction needs a masked select: max(x, slope*x) is x exactly where
+    # x >= 0 (signed zeros included) and slope*x elsewhere, and (x >= 0)*(1 - slope) + slope is exactly
+    # 1 or slope, because fl(fl(1 - slope) + slope) = 1 on [0, 1]
+    def rule(g):
+        factor = (xd >= 0.0) * (1.0 - slope)
+        factor += slope
+        factor *= g
+        return (factor,)
+
+    return _emit(np.maximum(xd, slope * xd), (x,), rule)
 
 
 @functools.lru_cache(maxsize=64)
@@ -222,33 +233,63 @@ def _cols(x: np.ndarray, k: int) -> np.ndarray:
     return np.take(x, _taps(n, k), axis=2, mode="clip").reshape(groups, in_ch * k, n * batch)
 
 
-def _conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray):
-    """Input, kernel and bias gradients of grouped conv1d, x (G, in_ch, n, batch), for its output gradient g.
+@functools.lru_cache(maxsize=64)
+def _adjoint_taps(n: int, k: int) -> np.ndarray:
+    """Read-only index, at j*n + s, into the output gradient extended along time (``_extend``) of the
+    sum of g[t] over every t whose tap j reads sample s, the transpose of ``_taps``. That set of t is
+    one range: a single sample inside the series, a prefix of g at s = 0 and a suffix at s = n-1,
+    which the clamp collects, or no sample at all (the zero at the end)."""
+    pad, s = (k - 1) // 2, np.arange(n)
+    t = s - np.arange(k)[:, None] + pad  # the one t whose tap j reads s, before the clamp
+    first = np.where(s == 0, 0, np.maximum(t, 0))
+    last = np.where(s == n - 1, n - 1, np.minimum(t, n - 1))
+    # no sample, one sample, a prefix sum, else a suffix sum
+    index = np.select([first > last, first == last, first == 0], [n + 2 * pad + 2, first, n + last],
+                      2 * n + pad - first).ravel()
+    index.flags.writeable = False
+    return index
 
-    Per group, g2 = g.reshape(out_ch, n*batch) is a view. The kernel gradient is g2 @ colsT, already
-    in the kernel's (out_ch, in_ch, k) order. The input gradient is w2T @ g2, one (in_ch, n, batch)
-    block per tap, added tap by tap into the range it read on a buffer with pad extra samples per
-    side, whose ends then fold onto the edge samples they clamp to. Each chunk of groups writes into
-    the preallocated results.
+
+def _extend(g: np.ndarray, pad: int) -> np.ndarray:
+    """g (G, C, n, batch) extended along time to n + 2*pad + 3 samples: g itself, pad+1 slots holding
+    the prefix sums g[0] + ... + g[m], pad+1 holding the suffix sums g[n-1-m] + ... + g[n-1], then one
+    zero sample. Sums reach at most the whole series (m < n); ``_adjoint_taps`` reads no slot past
+    that, so those are left unset. The sums are explicit adds of whole (G, C, batch) slices, which
+    keeps the batch rows contiguous."""
+    n = g.shape[2]
+    ext = np.empty(g.shape[:2] + (n + 2 * pad + 3,) + g.shape[3:])
+    ext[:, :, :n] = g
+    for base, first, step in ((n, 0, 1), (n + pad + 1, n - 1, -1)):
+        ext[:, :, base] = g[:, :, first]
+        for m in range(1, min(pad, n - 1) + 1):
+            np.add(ext[:, :, base + m - 1], g[:, :, first + step * m], out=ext[:, :, base + m])
+    ext[:, :, -1] = 0.0
+    return ext
+
+
+def _conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, with_input: bool = True):
+    """Input, kernel and bias gradients of conv1d, x (G, in_ch, n, batch) or (batch, in_ch, n), for its
+    output gradient g; the input gradient is None unless ``with_input``.
+
+    Per group, one gather through the cached ``_adjoint_taps`` index builds the adjoint im2col of g,
+    gcols (out_ch*k, n*batch), whose row o*k + j holds at sample s the sum of g[o, t] over every t
+    whose tap j reads s. Both gradients are then one GEMM each with no fold over the taps: the input
+    gradient is w2T (in_ch, out_ch*k) @ gcols and the kernel gradient gcols @ x2T, in (out_ch, k,
+    in_ch) order. Each chunk of groups writes into the preallocated results.
     """
+    if xd.ndim == 3:
+        gx, gw, gb = _conv1d_grads(_batch_last(g), _batch_last(xd), wd[None], with_input)
+        return (None if gx is None else np.ascontiguousarray(gx[0].transpose(2, 0, 1))), gw[0], gb[0]
     (groups, out_ch, in_ch, k), (_, _, n, batch) = wd.shape, xd.shape
-    pad = (k - 1) // 2
-    gx, gw = np.empty_like(xd), np.empty_like(wd)
+    gx, gw = (np.empty_like(xd) if with_input else None), np.empty_like(wd)
     for at in _group_chunks(groups, batch * n * k * max(in_ch, out_ch)):
-        g2 = g[at].reshape(-1, out_ch, n * batch)
-        w2 = wd[at].reshape(-1, out_ch, in_ch * k)
-        np.matmul(g2, _cols(xd[at], k).transpose(0, 2, 1), out=gw[at].reshape(w2.shape))
-        per_tap = np.matmul(w2.transpose(0, 2, 1), g2).reshape(-1, in_ch, k, n, batch)
-        gp = np.empty((per_tap.shape[0], in_ch, n + 2 * pad, batch))  # the first tap fills it, so no zeroing pass
-        gp[:, :, :n] = per_tap[:, :, 0]
-        gp[:, :, n:] = 0.0
-        for j in range(1, k):
-            gp[:, :, j:j + n] += per_tap[:, :, j]
-        del per_tap
-        gx[at] = gp[:, :, pad:pad + n]
-        if pad:
-            gx[at, :, 0] += gp[:, :, :pad].sum(axis=2)
-            gx[at, :, -1] += gp[:, :, pad + n:].sum(axis=2)
+        gcols = np.take(_extend(g[at], (k - 1) // 2), _adjoint_taps(n, k), axis=2, mode="clip")
+        gcols = gcols.reshape(-1, out_ch * k, n * batch)
+        per_row = np.matmul(gcols, xd[at].reshape(-1, in_ch, n * batch).transpose(0, 2, 1))
+        gw[at] = per_row.reshape(-1, out_ch, k, in_ch).transpose(0, 1, 3, 2)
+        if with_input:
+            w2t = wd[at].transpose(0, 2, 1, 3).reshape(-1, in_ch, out_ch * k)
+            np.matmul(w2t, gcols, out=gx[at].reshape(-1, in_ch, n * batch))
     return gx, gw, g.sum(axis=(2, 3))
 
 
@@ -271,7 +312,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     stays under CONV_CHUNK_BYTES, each writing into the preallocated output; a group's output and
     gradients do not depend on the chunking. A 3-d call runs as one group, so it is bit-identical
     to that group of a grouped call. The backward rule keeps only x's and w's own arrays, so the
-    tape holds no conv1d buffer.
+    tape holds no conv1d buffer, and builds both gradients from the adjoint im2col of the output
+    gradient (``_conv1d_grads``); when x takes no gradient, the rule skips its product.
     """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim not in (3, 4):
@@ -297,12 +339,13 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out += bg[:, :, None, None]
 
     def rule(g):
-        if xd.ndim == 4:
-            return _conv1d_grads(g, xd, wd)
-        gx, gw, gb = _conv1d_grads(_batch_last(g), _batch_last(xd), wd[None])
-        return np.ascontiguousarray(gx[0].transpose(2, 0, 1)), gw[0], gb[0]
+        return _conv1d_grads(g, xd, wd)
 
-    return _emit(out if xd.ndim == 4 else out[0].transpose(2, 0, 1), (x, w, b), rule)
+    def rule_without_input(g):  # x takes no gradient (the tree's input), so no input-gradient GEMM
+        return _conv1d_grads(g, xd, wd, with_input=False)
+
+    return _emit(out if xd.ndim == 4 else out[0].transpose(2, 0, 1), (x, w, b),
+                 rule if x.requires_grad else rule_without_input)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -409,6 +409,28 @@ def test_unwritable_output_names_the_path_given(trained, tmp_path, capsys):
             assert list(tmp_path.iterdir()) == []
 
 
+def test_unwritable_output_fails_before_the_work(trained, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before the output path was checked")
+
+    for name in ("load_checkpoint", "predict_windows", "fit"):
+        monkeypatch.setattr(cli, name, never)
+    for flag, command in (("--out", "eval"), ("--emit", "predict")):
+        for out, reason in ((tmp_path / "nodir" / "o", "No such file or directory"), (tmp_path, "Is a directory")):
+            assert main([command, str(trained.ckpt), str(trained.data), flag, str(out)]) == 1
+            assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+    cfg = write_config(tmp_path / "r.cfg", trained.data, tmp_path)
+    assert main(["train", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write {tmp_path}: Is a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["r.cfg"]
+
+
+def test_train_makes_the_checkpoint_directory(trained, tmp_path):
+    ckpt = tmp_path / "new" / "m.ckpt"
+    assert main(["train", str(write_config(tmp_path / "r.cfg", trained.data, ckpt, epochs=1))]) == 0
+    assert ckpt.exists()
+
+
 @pytest.mark.parametrize("command,flag", [("eval", "--out"), ("predict", "--emit")])
 def test_a_failed_write_leaves_the_previous_output(trained, tmp_path, capsys, monkeypatch, command, flag):
     out = tmp_path / "out"

@@ -27,6 +27,7 @@ from scinet.tensor import (
     slice_time,
     sub,
     sum_all,
+    _adjoint_taps,
     _taps,
 )
 from scinet import tensor as tensor_module
@@ -271,12 +272,41 @@ class TestConv1d:
         cells = [cell.cell_contents for cell in tape.nodes[-1].rule.__closure__]
         assert cells and all(c is x.data or c is w.data for c in cells)
 
+    @pytest.mark.parametrize("shape, kernel", [((3, 2, 7), (4, 2, 5)), ((3, 2, 7, 4), (3, 5, 2, 3))],
+                             ids=["3-d", "grouped"])
+    def test_input_without_gradient_skips_only_the_input_gradient(self, shape, kernel):
+        rng = np.random.default_rng(8)
+        xd, wd = rng.normal(size=shape), rng.normal(size=kernel)
+        bd = rng.normal(size=kernel[:-2])
+        g = rng.normal(size=conv1d(leaf(xd), leaf(wd), leaf(bd)).shape)
+        grads = []
+        for x_grad in (True, False):
+            x, w = leaf(xd, x_grad), leaf(wd)
+            with Tape() as tape:
+                conv1d(x, w, leaf(bd))
+            rule = tape.nodes[-1].rule
+            assert all(cell.cell_contents is x.data or cell.cell_contents is w.data for cell in rule.__closure__)
+            gx, gw, gb = rule(g)
+            assert (gx is not None) is x_grad
+            grads.append((gw.tobytes(), gb.tobytes()))
+        assert grads[0] == grads[1]
+
     def test_tap_indices_are_cached_read_only(self):
         index = _taps(6, 5)
         assert _taps(6, 5) is index
         npt.assert_array_equal(index[:6], [0, 0, 0, 1, 2, 3])  # tap 0 reads two samples back, clamped
         with pytest.raises(ValueError):
             index[0] = 1
+
+    def test_adjoint_tap_indices_sum_what_each_tap_read(self):
+        # at n = 6, k = 5 the extended gradient is g[0..5], prefix sums at 6..8, suffix sums at 9..11, zero at 12
+        index = _adjoint_taps(6, 5)
+        assert _adjoint_taps(6, 5) is index and not index.flags.writeable
+        npt.assert_array_equal(index.reshape(5, 6), [[8, 3, 4, 5, 12, 12],  # via tap 0, sample 0 gets g[0..2], s gets g[s+2]
+                                                     [7, 2, 3, 4, 5, 12],
+                                                     [0, 1, 2, 3, 4, 5],
+                                                     [12, 0, 1, 2, 3, 10],
+                                                     [12, 12, 0, 1, 2, 11]])  # via tap 4, sample 5 gets g[3..5]
 
 
 class TestLinear:

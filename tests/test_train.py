@@ -1,5 +1,9 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scinet
 from scinet.data import WindowDataset, fit_normalizer, synthetic_frame
 from scinet.errors import CheckpointError, ConfigError, NumericError
 from scinet.model import ModelConfig, build_model
@@ -514,3 +519,30 @@ class TestCheckpointRobustness:
             load_checkpoint(probe)
         except CheckpointError:
             pass
+
+
+# the smallest 21-variate fit tried whose checkpoint bytes moved with the OpenBLAS thread count while
+# conv1d's kernel gradient was a product of g with the im2col of x
+THREADED_FIT = """
+import sys
+from scinet import data, model, train
+frame = data.synthetic_frame(400, 21, seed=7)
+ranges = data.split(frame, data.SplitSpec.parse("ratio:6,2,2"))
+normed = data.fit_normalizer(frame, ranges[0]).apply(frame.values)
+train_ds, val_ds, _ = [data.WindowDataset(normed, r, 48, 24) for r in ranges]
+net = model.build_model(model.ModelConfig(look_back=48, horizon=24, n_variates=21, levels=3, stacks=1, seed=7))
+train.fit(net, train_ds, val_ds, train.TrainConfig(epochs=1, seed=7))
+train.save_checkpoint(sys.argv[1], net)
+"""
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = str(Path(scinet.__file__).parents[1])
+    written = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.ckpt"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", THREADED_FIT, str(path)], env=env, timeout=300, check=True)
+        written.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert written[0] == written[1]
