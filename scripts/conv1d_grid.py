@@ -17,16 +17,18 @@ tree levels' lengths at look-back 48 and below) and batch in {32, 256}
 {96, 360} (the first levels at look-backs 192 and 720), so a cost that grows
 faster than linearly in n shows.
 
+Every call is a grouped call, in the layout the tree's conv1d accepts: a
+probe whose axis sizes all differ finds batch innermost, (G, C, n, batch), or
+the earlier (G, batch, C, n). The output names it per tree
+("grouped_layout"); a tree whose conv1d takes no group axis is refused. The
+plain rows above are one-group calls.
+
 Grouped rows are the level-batched tree's shapes at look-back 48: a level's
 grouped module call over G in {2, 4, 8, 16} groups at n = 48 / G, for the same
 channel pairs at batch 32 (training) and 64 (inference). Each times forward
-plus backward as G separate 3-d calls ("sep") and, in a tree whose conv1d
-takes a group axis, as one grouped call ("grp"), and counts the minor page
-faults per call ("_faults" keys; the others are microseconds per call). A
-tree's grouped call gets the layout its conv1d accepts, found by a probe
-whose axis sizes all differ: batch innermost, (G, C, n, batch), or the
-earlier (G, batch, C, n). The output names it per tree ("grouped_layout";
-null when the tree has no grouped conv1d).
+plus backward as G separate one-group calls ("sep") and as one grouped call
+("grp"), and counts the minor page faults per call ("_faults" keys; the others
+are microseconds per call).
 """
 
 import argparse
@@ -95,36 +97,31 @@ def worker() -> None:
 
     rng = np.random.default_rng(0)
     layout = grouped_layout(tensor)
+    if layout is None:
+        sys.exit("error: this tree's conv1d takes no group axis")
+
+    def grouped(x):  # (G, batch, C, n) in the tree's layout
+        return tensor.Tensor(np.ascontiguousarray(x.transpose(LAYOUTS[layout])), requires_grad=True)
+
+    def forward_backward(x, w, b):
+        with tensor.Tape() as tape:
+            loss = tensor.sum_all(tensor.conv1d(x, w, b))
+        tensor.backward(loss, tape)
+
     out = {}
     for batch, in_ch, out_ch, n in GRID:
-        x = tensor.Tensor(rng.normal(size=(batch, in_ch, n)), requires_grad=True)
-        w = tensor.Tensor(rng.normal(size=(out_ch, in_ch, KERNEL)), requires_grad=True)
-        b = tensor.Tensor(rng.normal(size=out_ch), requires_grad=True)
-
-        def forward():
-            tensor.conv1d(x, w, b)
-
-        def forward_backward():
-            with tensor.Tape() as tape:
-                loss = tensor.sum_all(tensor.conv1d(x, w, b))
-            tensor.backward(loss, tape)
-
-        for mode, fn in (("fwd", forward), ("fwd_bwd", forward_backward)):
+        x = grouped(rng.normal(size=(1, batch, in_ch, n)))
+        w = tensor.Tensor(rng.normal(size=(1, out_ch, in_ch, KERNEL)), requires_grad=True)
+        b = tensor.Tensor(rng.normal(size=(1, out_ch)), requires_grad=True)
+        for mode, fn in (("fwd", lambda: tensor.conv1d(x, w, b)), ("fwd_bwd", lambda: forward_backward(x, w, b))):
             out[f"b{batch}_c{in_ch}_o{out_ch}_n{n}_{mode}"] = _per_call(fn) * 1e6
     for batch, groups, in_ch, out_ch, n in GROUPED:
         xs = rng.normal(size=(groups, batch, in_ch, n))
         ws, bs = rng.normal(size=(groups, out_ch, in_ch, KERNEL)), rng.normal(size=(groups, out_ch))
-
-        def run(x, w, b):
-            x, w, b = (tensor.Tensor(a, requires_grad=True) for a in (x, w, b))
-            with tensor.Tape() as tape:
-                loss = tensor.sum_all(tensor.conv1d(x, w, b))
-            tensor.backward(loss, tape)
-
-        modes = {"sep": lambda: [run(x, w, b) for x, w, b in zip(xs, ws, bs)]}
-        if layout is not None:
-            grouped = np.ascontiguousarray(xs.transpose(LAYOUTS[layout]))
-            modes["grp"] = lambda: run(grouped, ws, bs)
+        whole = [grouped(xs), tensor.Tensor(ws, requires_grad=True), tensor.Tensor(bs, requires_grad=True)]
+        parts = [[grouped(xs[at]), tensor.Tensor(ws[at], requires_grad=True), tensor.Tensor(bs[at], requires_grad=True)]
+                 for at in (slice(g, g + 1) for g in range(groups))]
+        modes = {"sep": lambda: [forward_backward(*part) for part in parts], "grp": lambda: forward_backward(*whole)}
         for mode, fn in modes.items():
             key = f"b{batch}_g{groups}_c{in_ch}_o{out_ch}_n{n}_{mode}_fwd_bwd"
             out[key] = _per_call(fn) * 1e6
@@ -159,7 +156,9 @@ def main() -> None:
         order = args.src[r % len(args.src):] + args.src[:r % len(args.src)]
         for src in order:
             done = subprocess.run([sys.executable, __file__, "--worker"], env=dict(env, PYTHONPATH=src),
-                                  check=True, capture_output=True, text=True)
+                                  capture_output=True, text=True)
+            if done.returncode:
+                sys.exit(f"{src}: {done.stderr.strip()}")
             runs[src].append(json.loads(done.stdout))
     result, layouts = {}, {}
     for src, rounds in runs.items():

@@ -240,9 +240,18 @@ def _restore(checkpoint: str, data: str):
     """The checkpoint's model and extras, and the dataset normalized with its statistics."""
     model, manifest = load_checkpoint(checkpoint)
     extras = manifest.get("extras", {})
+    if not isinstance(extras, dict):
+        raise CheckpointError(f"checkpoint {checkpoint} extras must be a json object, got {extras!r}")
     missing = [key for key in RESTORE_EXTRAS if key not in extras]
     if missing:
         raise CheckpointError(f"checkpoint {checkpoint} lacks the training extras {', '.join(missing)}")
+    for key in ("timestamp_column", "split"):
+        if not isinstance(extras[key], str):
+            raise CheckpointError(f"checkpoint {checkpoint} extras {key} must be a string, got {extras[key]!r}")
+    try:
+        SplitSpec.parse(extras["split"])
+    except ConfigError as e:
+        raise CheckpointError(f"checkpoint {checkpoint} extras {e}") from None
     n_variates = model.config.n_variates
     for key in ("norm_mean", "norm_std"):
         value = extras[key]

@@ -28,7 +28,6 @@ from .tensor import (
     gather_groups,
     groups_to_children,
     halves_to_groups,
-    interleave_time,
     mean_all,
     mul,
     slice_time,
@@ -89,6 +88,8 @@ class ModelConfig:
             raise ConfigError(f"hidden_ratio must be at least 1, got {self.hidden_ratio}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not np.isfinite(self.leaky_slope):
+            raise ConfigError(f"leaky_slope must be finite, got {self.leaky_slope}")
         if self.sign not in SIGNS:
             raise ConfigError(f"sign must be one of {SIGNS}, got {self.sign!r}")
         if self.seed < 0:
@@ -103,22 +104,19 @@ def split_even_odd(x: Tensor) -> tuple[Tensor, Tensor]:
     return slice_time(x, 0, None, 2), slice_time(x, 1, None, 2)
 
 
-def realign(parts: Tensor | list[Tensor]) -> Tensor:
+def realign(parts: Tensor) -> Tensor:
     """Inverse of repeated even/odd splitting.
 
     ``parts`` holds 2^L equal-shape sub-sequences in tree order (even branch
-    first at every level), as a list or as one tensor's leading axis, so leaf
-    i holds the steps whose index mod 2^L is i with its L bits reversed; one
-    interleave restores original time order.
+    first at every level) along its leading axis, so leaf i holds the steps
+    whose index mod 2^L is i with its L bits reversed; one interleave
+    restores original time order.
     """
-    count = parts.shape[0] if isinstance(parts, Tensor) else len(parts)
+    count = parts.shape[0]
     if count < 1 or count & (count - 1) != 0:
         raise DimensionError(f"realign needs a power-of-two part count, got {count}")
     bits = count.bit_length() - 1
-    order = [int(f"{j:0{bits}b}"[::-1], 2) for j in range(count)]
-    if isinstance(parts, Tensor):
-        return ungroup_time(parts, order)
-    return interleave_time(*(parts[i] for i in order))
+    return ungroup_time(parts, [int(f"{j:0{bits}b}"[::-1], 2) for j in range(count)])
 
 
 @functools.lru_cache(maxsize=64)

@@ -49,10 +49,11 @@ class InteractionModule:
     starts all-zero, making the whole module the zero map at initialisation;
     the opening conv is Kaiming-uniform matched to the leaky-relu slope.
 
-    ``stacked`` joins several modules into one grouped module: each of its four
-    tensors gains a leading group axis, and it maps a tree level's halves,
-    (groups, d, time, batch) with batch innermost, with group g run by the
-    g-th module's weights. A single module maps (batch, d, time).
+    A module is one group: each of its four tensors has a leading group axis
+    of length 1, and it maps (groups, d, time, batch), batch innermost.
+    ``stacked`` joins several modules into one grouped module along that axis,
+    which maps a tree level's halves with group g run by the g-th module's
+    weights.
     """
 
     PARAMS = ("w_in", "b_in", "w_out", "b_out")
@@ -79,13 +80,13 @@ class InteractionModule:
         self.dropout_p = dropout_p
         gain = leaky_relu_gain(leaky_slope)
         # uniform draws and zeros are finite, so the tensors skip the finite scan
-        self.w_in = Tensor._wrap(_kaiming_uniform(rng, (hidden, channels, kernel_size), gain), True)
-        self.b_in = Tensor._wrap(np.zeros(hidden), True)
+        self.w_in = Tensor._wrap(_kaiming_uniform(rng, (hidden, channels, kernel_size), gain)[None], True)
+        self.b_in = Tensor._wrap(np.zeros((1, hidden)), True)
         if identity_init:
-            self.w_out = Tensor._wrap(np.zeros((channels, hidden, kernel_size)), True)
+            self.w_out = Tensor._wrap(np.zeros((1, channels, hidden, kernel_size)), True)
         else:
-            self.w_out = Tensor._wrap(_kaiming_uniform(rng, (channels, hidden, kernel_size), 1.0), True)
-        self.b_out = Tensor._wrap(np.zeros(channels), True)
+            self.w_out = Tensor._wrap(_kaiming_uniform(rng, (channels, hidden, kernel_size), 1.0)[None], True)
+        self.b_out = Tensor._wrap(np.zeros((1, channels)), True)
 
     @classmethod
     def stacked(cls, modules: list["InteractionModule"]) -> "InteractionModule":
@@ -94,19 +95,19 @@ class InteractionModule:
         first = modules[0]
         grouped.channels, grouped.leaky_slope, grouped.dropout_p = first.channels, first.leaky_slope, first.dropout_p
         for name in cls.PARAMS:
-            setattr(grouped, name, Tensor._wrap(np.stack([getattr(m, name).data for m in modules]), True))
+            setattr(grouped, name, Tensor._wrap(np.concatenate([getattr(m, name).data for m in modules]), True))
         return grouped
 
     def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         """A grouped module given r times its group count (one block's weights filling r roles)
         runs each group's weights on r inputs, so their gradients add."""
         weights = [getattr(self, name) for name in self.PARAMS]
-        ndim = weights[0].data.ndim
-        if x.data.ndim != ndim or x.shape[1] != self.channels or (ndim == 4 and x.shape[0] % weights[0].shape[0]):
-            want = f"(groups, {self.channels}, time, batch)" if ndim == 4 else f"(batch, {self.channels}, time)"
-            raise DimensionError(f"interaction module expects {want}, got {x.shape}")
-        if ndim == 4 and x.shape[0] != weights[0].shape[0]:
-            weights = [gather_groups([t] * (x.shape[0] // t.shape[0])) for t in weights]
+        groups = weights[0].shape[0]
+        if x.data.ndim != 4 or x.shape[1] != self.channels or x.shape[0] % groups:
+            raise DimensionError(f"interaction module expects (a multiple of {groups} groups, {self.channels}, "
+                                 f"time, batch), got {x.shape}")
+        if x.shape[0] != groups:
+            weights = [gather_groups([t] * (x.shape[0] // groups)) for t in weights]
         w_in, b_in, w_out, b_out = weights
         h = conv1d(x, w_in, b_in)
         h = leaky_relu(h, self.leaky_slope)

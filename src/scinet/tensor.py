@@ -9,10 +9,10 @@ Conventions fixed across the package:
   backward rule keeps nothing but the input's and kernel's own arrays and
   builds both gradients from one gather of the output gradient through the
   transpose of that index
-* conv1d's grouped form runs one kernel per group in one call on
-  (groups, channels, time, batch), batch innermost, so every tap gather
-  moves whole batch rows and each group is one matrix product; a plain
-  (batch, channels, time) call is one group of it
+* conv1d takes one layout only, grouped and batch innermost: x (groups,
+  channels, time, batch) with one kernel per group, so every tap gather
+  moves whole batch rows and each group is one matrix product; a single
+  convolution is a call with one group
 * inputs to exp are clamped to [-20, 20] and the gradient is zero outside
   the clamp
 * a Tape records operations in execution order, which is already a valid
@@ -268,8 +268,8 @@ def _extend(g: np.ndarray, pad: int) -> np.ndarray:
 
 
 def _conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, with_input: bool = True):
-    """Input, kernel and bias gradients of conv1d, x (G, in_ch, n, batch) or (batch, in_ch, n), for its
-    output gradient g; the input gradient is None unless ``with_input``.
+    """Input, kernel and bias gradients of conv1d, x (G, in_ch, n, batch), for its output gradient g;
+    the input gradient is None unless ``with_input``.
 
     Per group, one gather through the cached ``_adjoint_taps`` index builds the adjoint im2col of g,
     gcols (out_ch*k, n*batch), whose row o*k + j holds at sample s the sum of g[o, t] over every t
@@ -277,9 +277,6 @@ def _conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, with_input: boo
     gradient is w2T (in_ch, out_ch*k) @ gcols and the kernel gradient gcols @ x2T, in (out_ch, k,
     in_ch) order. Each chunk of groups writes into the preallocated results.
     """
-    if xd.ndim == 3:
-        gx, gw, gb = _conv1d_grads(_batch_last(g), _batch_last(xd), wd[None], with_input)
-        return (None if gx is None else np.ascontiguousarray(gx[0].transpose(2, 0, 1))), gw[0], gb[0]
     (groups, out_ch, in_ch, k), (_, _, n, batch) = wd.shape, xd.shape
     gx, gw = (np.empty_like(xd) if with_input else None), np.empty_like(wd)
     for at in _group_chunks(groups, batch * n * k * max(in_ch, out_ch)):
@@ -293,50 +290,35 @@ def _conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, with_input: boo
     return gx, gw, g.sum(axis=(2, 3))
 
 
-def _batch_last(a: np.ndarray) -> np.ndarray:
-    """(batch, C, n) as one group of the grouped layout, (1, C, n, batch)."""
-    return np.ascontiguousarray(a.transpose(1, 2, 0))[None]
-
-
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Length-preserving 1-D cross-correlation over the time axis, with replication padding.
+    """Grouped, length-preserving 1-D cross-correlation over the time axis, with replication padding.
 
-    x: (batch, in_ch, n), w: (out_ch, in_ch, k) with k odd, b: (out_ch,). With pad = (k-1)/2,
-    out[o, t] = sum_{c,j} w[o,c,j] * x[c, clip(t+j-pad, 0, n-1)] + b[o].
+    x (G, in_ch, n, batch), batch innermost, w (G, out_ch, in_ch, k) with k odd and b (G, out_ch)
+    give out (G, out_ch, n, batch); group g convolves x[g] with w[g] and b[g]. With pad = (k-1)/2,
+    out[g, o, t] = sum_{c,j} w[g,o,c,j] * x[g, c, clip(t+j-pad, 0, n-1)] + b[g, o].
 
-    Grouped form: x (G, in_ch, n, batch), batch innermost, w (G, out_ch, in_ch, k) and b (G, out_ch)
-    give out (G, out_ch, n, batch); group g convolves x[g] with w[g] and b[g]. Per group the sum is
-    one GEMM (im2col): one gather through the cached clamped tap index (``_taps``), with no padded
-    buffer, builds cols (in_ch*k, n*batch) in the row order of w.reshape(out_ch, in_ch*k), so
-    out = w2 @ cols + b is already (out_ch, n, batch). Groups run in chunks whose largest temporary
-    stays under CONV_CHUNK_BYTES, each writing into the preallocated output; a group's output and
-    gradients do not depend on the chunking. A 3-d call runs as one group, so it is bit-identical
-    to that group of a grouped call. The backward rule keeps only x's and w's own arrays, so the
+    Per group the sum is one GEMM (im2col): one gather through the cached clamped tap index
+    (``_taps``), with no padded buffer, builds cols (in_ch*k, n*batch) in the row order of
+    w.reshape(out_ch, in_ch*k), so out = w2 @ cols + b is already (out_ch, n, batch). Groups run in
+    chunks whose largest temporary stays under CONV_CHUNK_BYTES, each writing into the preallocated
+    output; a group's output and gradients do not depend on the chunking, so they are bit-identical
+    to a one-group call on that group. The backward rule keeps only x's and w's own arrays, so the
     tape holds no conv1d buffer, and builds both gradients from the adjoint im2col of the output
     gradient (``_conv1d_grads``); when x takes no gradient, the rule skips its product.
     """
     xd, wd, bd = x.data, w.data, b.data
-    if xd.ndim not in (3, 4):
-        raise DimensionError(f"conv1d: input must be (batch, channels, time) or (groups, channels, time, batch), "
-                             f"got {xd.shape}")
-    if wd.ndim != xd.ndim or bd.ndim != xd.ndim - 2:
-        raise DimensionError(f"conv1d: kernel and bias must match the input's grouping, got {wd.shape} and {bd.shape}")
-    xg, wg, bg = (xd, wd, bd) if xd.ndim == 4 else (_batch_last(xd), wd[None], bd[None])  # 3-d: one group
-    groups, out_ch, in_ch, k = wg.shape
+    if xd.ndim != 4 or wd.ndim != 4 or wd.shape[:1] + wd.shape[2:3] != xd.shape[:2] or bd.shape != wd.shape[:2]:
+        raise DimensionError(f"conv1d: needs x (groups, in_ch, time, batch), w (groups, out_ch, in_ch, k) and "
+                             f"b (groups, out_ch), got {xd.shape}, {wd.shape} and {bd.shape}")
+    groups, out_ch, in_ch, k = wd.shape
     if k % 2 == 0:
         raise ConfigError(f"conv1d: kernel size must be odd, got {k}")
-    if xg.shape[1] != in_ch:
-        raise DimensionError(f"conv1d: input has {xg.shape[1]} channels, kernel expects {in_ch}")
-    if bg.shape[1] != out_ch:
-        raise DimensionError(f"conv1d: bias has {bg.shape[1]} channels, kernel yields {out_ch}")
-    if xg.shape[0] != groups or bg.shape[0] != groups:
-        raise DimensionError(f"conv1d: {xg.shape[0]} input groups, {groups} kernel and {bg.shape[0]} bias groups")
-    _, _, n, batch = xg.shape
+    _, _, n, batch = xd.shape
     out = np.empty((groups, out_ch, n, batch))
     for at in _group_chunks(groups, batch * n * k * max(in_ch, out_ch)):
-        w2 = wg[at].reshape(-1, out_ch, in_ch * k)
-        np.matmul(w2, _cols(xg[at], k), out=out[at].reshape(w2.shape[0], out_ch, n * batch))
-    out += bg[:, :, None, None]
+        w2 = wd[at].reshape(-1, out_ch, in_ch * k)
+        np.matmul(w2, _cols(xd[at], k), out=out[at].reshape(w2.shape[0], out_ch, n * batch))
+    out += bd[:, :, None, None]
 
     def rule(g):
         return _conv1d_grads(g, xd, wd)
@@ -344,8 +326,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def rule_without_input(g):  # x takes no gradient (the tree's input), so no input-gradient GEMM
         return _conv1d_grads(g, xd, wd, with_input=False)
 
-    return _emit(out if xd.ndim == 4 else out[0].transpose(2, 0, 1), (x, w, b),
-                 rule if x.requires_grad else rule_without_input)
+    return _emit(out, (x, w, b), rule if x.requires_grad else rule_without_input)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -421,25 +402,23 @@ def ungroup_time(x: Tensor, order: Sequence[int]) -> Tensor:
 
 
 def gather_groups(parts: Sequence[Tensor], order: Sequence[int] | None = None) -> Tensor:
-    """Concatenate ``parts`` along the leading (group) axis, then put its rows in ``order``.
+    """Concatenate ``parts`` along their leading (group) axis, then put its rows in ``order``.
 
-    A 3-d part, a (batch, channels, time) series, counts as one group; any other part's leading
-    axis is its group axis. ``order`` is a permutation of the concatenated rows (None keeps them
-    as they are). A tensor may appear among the parts more than once; its gradients then add.
+    ``order`` is a permutation of the concatenated rows (None keeps them as they are). A tensor may
+    appear among the parts more than once; its gradients then add.
     """
-    datas = [p.data[None] if p.data.ndim == 3 else p.data for p in parts]
+    datas = [p.data for p in parts]
     for d in datas[1:]:
         if d.shape[1:] != datas[0].shape[1:]:
             raise DimensionError(f"gather_groups: group shapes differ, {datas[0].shape[1:]} vs {d.shape[1:]}")
     cat = datas[0] if len(datas) == 1 else np.concatenate(datas)
     out = cat.copy() if order is None else cat[order]
     bounds = [0, *itertools.accumulate(d.shape[0] for d in datas)]
-    shapes = [p.data.shape for p in parts]
 
     def rule(g):
         if order is not None:
             g = g[np.argsort(order)]
-        return tuple(g[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes))
+        return tuple(g[a:b] for a, b in zip(bounds, bounds[1:]))
 
     return _emit(out, tuple(parts), rule)
 

@@ -40,12 +40,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(f"epochs and batch_size must be positive, got {self.epochs}, {self.batch_size}")
-        if self.lr < 0 or self.lr_decay <= 0 or self.lr_decay > 1:
-            raise ConfigError(f"need lr >= 0 and 0 < lr_decay <= 1, got {self.lr}, {self.lr_decay}")
+        if not (0 <= self.lr < math.inf and 0 < self.lr_decay <= 1):  # NaN fails every comparison
+            raise ConfigError(f"need finite lr >= 0 and 0 < lr_decay <= 1, got {self.lr}, {self.lr_decay}")
         if self.patience < 1:
             raise ConfigError(f"patience must be at least 1, got {self.patience}")
-        if self.clip_norm < 0:
-            raise ConfigError(f"clip_norm must be non-negative, got {self.clip_norm}")
+        if not 0 <= self.clip_norm < math.inf:
+            raise ConfigError(f"clip_norm must be finite and non-negative, got {self.clip_norm}")
 
 
 class Adam:

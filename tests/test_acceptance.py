@@ -111,10 +111,10 @@ def test_a1_gradients_match_finite_differences(record_criterion):
     worst["tanh"] = finite_diff_check(lambda: sum_all(mul(tanh(a), probe)), [a])
     worst["leaky_relu"] = finite_diff_check(lambda: sum_all(mul(leaky_relu(a, 0.01), probe)), [a])
 
-    cx = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
-    cw = Tensor(rng.normal(size=(4, 3, 3)) * 0.5, requires_grad=True)
-    cb = Tensor(rng.normal(size=(4,)), requires_grad=True)
-    cp = Tensor(rng.normal(size=(2, 4, 6)))
+    cx = Tensor(rng.normal(size=(1, 3, 6, 2)), requires_grad=True)
+    cw = Tensor(rng.normal(size=(1, 4, 3, 3)) * 0.5, requires_grad=True)
+    cb = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+    cp = Tensor(rng.normal(size=(1, 4, 6, 2)))
     worst["conv1d"] = finite_diff_check(lambda: sum_all(mul(conv1d(cx, cw, cb), cp)), [cx, cw, cb])
 
     lx = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
@@ -127,8 +127,8 @@ def test_a1_gradients_match_finite_differences(record_criterion):
         channels=2, hidden_ratio=2, kernel_size=3, leaky_slope=0.01,
         dropout_p=0.0, rng=np.random.default_rng(1), identity_init=False,
     )
-    mx = Tensor(rng.normal(size=(2, 2, 6)), requires_grad=True)
-    mp = Tensor(rng.normal(size=(2, 2, 6)))
+    mx = Tensor(rng.normal(size=(1, 2, 6, 2)), requires_grad=True)
+    mp = Tensor(rng.normal(size=(1, 2, 6, 2)))
     m_params = [p for _, p in module.named_parameters("m")] + [mx]
     worst["interaction_module"] = finite_diff_check(
         lambda: sum_all(mul(module.forward(mx), mp)), m_params
@@ -190,7 +190,7 @@ def test_a2_split_realign_identity_and_identity_init(record_criterion):
         for j in range(1, 9):
             length = (1 << levels) * j
             x = Tensor(rng.normal(size=(2, 3, length)))
-            out = realign(tree_split(x, levels))
+            out = realign(Tensor(np.stack([leaf.data for leaf in tree_split(x, levels)])))
             if not np.array_equal(out.data, x.data):
                 grid_ok = False
 

@@ -234,6 +234,21 @@ class TestTrainCommand:
         assert rc == 2
         assert "data_path" in capsys.readouterr().err
 
+    # NaN passes every < and > check; inf trains a model of all-zero opening convs (leaky_slope),
+    # or steps to NaN (lr)
+    @pytest.mark.parametrize("key, value", [("leaky_slope", "nan"), ("leaky_slope", "inf"), ("lr", "nan"),
+                                            ("lr", "inf"), ("lr_decay", "nan"), ("clip_norm", "nan"),
+                                            ("clip_norm", "inf")])
+    def test_non_finite_hyperparameter_exits_2(self, tmp_path, capsys, key, value):
+        data = tmp_path / "d.csv"
+        write_dataset(data)
+        cfg = write_config(tmp_path / "r.cfg", data, tmp_path / "m.ckpt", epochs=1)
+        rc = main(["train", str(cfg), f"--{key}", value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and key in captured.err
+        assert not (tmp_path / "m.ckpt").exists()
+
 
 def test_rejected_rows_leave_their_windows_out(tmp_path, capsys):
     data = tmp_path / "gaps.csv"
@@ -528,10 +543,14 @@ def _set_extra(key, value):
         (_set_extra("norm_std", [0.0, 1.0]), "extras norm_std must be positive"),
         (_set_extra("norm_std", [float("nan"), 1.0]), "extras norm_std must be 2 finite numbers"),
         (_set_extra("metrics_scale", "bogus"), "extras metrics_scale must be one of"),
+        (lambda manifest: {**manifest, "extras": json.dumps(manifest["extras"])}, "extras must be a json object"),
+        (_set_extra("timestamp_column", 0), "extras timestamp_column must be a string"),
+        (_set_extra("split", 6), "extras split must be a string"),
+        (_set_extra("split", "ratio:6,2"), "extras split must name ratio/months"),
     ],
     ids=["non-object manifest", "invalid config", "entry is a string", "entry lacks byte_length", "no extras key",
          "norm_mean too short", "norm_mean not numbers", "negative norm_std", "zero norm_std", "nan norm_std",
-         "unknown metrics_scale"],
+         "unknown metrics_scale", "extras a string", "int timestamp_column", "int split", "unparseable split"],
 )
 def test_malformed_manifest_exits_1(trained, tmp_path, capsys, mutate, message):
     raw = trained.ckpt.read_bytes()

@@ -1,9 +1,11 @@
 """The level-batched tree against a block-by-block reference.
 
 ``ReferenceNet`` is the block-by-block forward the tree had before each level
-ran as one grouped step: one InteractionModule per block and role, a block
-splits, scales and corrects its own input, and the leaves are realigned from
-a list. It copies its weights from a model's named parameters, so both run
+ran as one grouped step: one interaction module per block and role, a block
+splits, scales and corrects its own (batch, channels, time) input, and the
+leaves are interleaved from a list. Each module's convs are one-group conv1d
+calls, while its dropout draws on (batch, hidden, time) as the tree's draws
+are made. It copies its weights from a model's named parameters, so both run
 the same numbers and their outputs, dropout draws and gradients can be
 compared bit for bit.
 """
@@ -14,20 +16,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scinet.model import ModelConfig, build_model, compute_loss, realign, split_even_odd
-from scinet.nn import InteractionModule
+from scinet.model import ModelConfig, build_model, compute_loss, split_even_odd
+from scinet.nn import InteractionModule, dropout_forward
 from scinet.tensor import (
     Tape,
     Tensor,
+    _emit,
     add,
     backward,
     concat_time,
+    conv1d,
     exp,
+    leaky_relu,
     linear,
     mul,
     slice_time,
     sub,
     sum_all,
+    tanh,
 )
 from scinet.train import Adam, TrainConfig, fit, load_checkpoint, save_checkpoint
 from scinet.data import WindowDataset
@@ -39,31 +45,55 @@ def _leaf(data):
     return Tensor(np.array(data), requires_grad=True)
 
 
+def _moved(x, grouped):
+    """x (batch, C, n) as one group, (1, C, n, batch), if ``grouped``; else the reverse."""
+    to_group, from_group = (lambda a: a.transpose(1, 2, 0)[None]), (lambda a: a[0].transpose(2, 0, 1))
+    there, back = (to_group, from_group) if grouped else (from_group, to_group)
+    return _emit(np.ascontiguousarray(there(x.data)), (x,), lambda g: (np.ascontiguousarray(back(g)),))
+
+
+def _interleave(leaves):
+    """The leaves, in tree order, merged into original time order: leaf i holds the steps whose index
+    mod 2^L is i with its L bits reversed."""
+    count = len(leaves)
+    order = [int(f"{j:0{count.bit_length() - 1}b}"[::-1], 2) for j in range(count)]
+    out = np.stack([leaves[i].data for i in order], axis=-1).reshape(leaves[0].shape[:-1] + (-1,))
+
+    def rule(g):
+        return tuple(np.ascontiguousarray(g[..., order.index(i)::count]) for i in range(count))
+
+    return _emit(out, tuple(leaves), rule)
+
+
 class ReferenceNet:
     def __init__(self, model):
         self.cfg = model.config
-        self.params = {name: _leaf(t.data) for name, t in model.named_parameters()}
+        # a block tensor gets the group axis of length 1 that conv1d reads
+        self.params = {name: _leaf(t.data if "/decoder/" in name else t.data[None])
+                       for name, t in model.named_parameters()}
 
-    def module(self, prefix):
-        m = object.__new__(InteractionModule)
-        m.channels, m.leaky_slope, m.dropout_p = self.cfg.n_variates, self.cfg.leaky_slope, self.cfg.dropout
-        for name in InteractionModule.PARAMS:
-            setattr(m, name, self.params[f"{prefix}/{name}"])
-        return m
+    def module(self, prefix, x, training, rng):
+        w_in, b_in, w_out, b_out = (self.params[f"{prefix}/{name}"] for name in InteractionModule.PARAMS)
+        h = leaky_relu(_moved(conv1d(_moved(x, True), w_in, b_in), False), self.cfg.leaky_slope)
+        h = dropout_forward(h, self.cfg.dropout, training, rng)
+        return tanh(_moved(conv1d(_moved(h, True), w_out, b_out), False))
 
     def block(self, x, prefix, training, rng):
         cfg = self.cfg
-        sfo, sfe, co, ce = (self.module(f"{prefix}/{'shared' if cfg.weight_share else role}") for role in ROLES)
+
+        def run(role, h):
+            return self.module(f"{prefix}/{'shared' if cfg.weight_share else role}", h, training, rng)
+
         even, odd = split_even_odd(x)
         if cfg.no_interlearn:
-            new_odd = co.forward(sfo.forward(odd, training, rng), training, rng)
-            new_even = ce.forward(sfe.forward(even, training, rng), training, rng)
+            new_odd = run("correct_odd", run("scale_for_odd", odd))
+            new_even = run("correct_even", run("scale_for_even", even))
             return new_even, new_odd
-        scaled_odd = mul(odd, exp(sfo.forward(even, training, rng)))
-        scaled_even = mul(even, exp(sfe.forward(odd, training, rng)))
+        scaled_odd = mul(odd, exp(run("scale_for_odd", even)))
+        scaled_even = mul(even, exp(run("scale_for_even", odd)))
         op = add if cfg.sign == "add" else sub
-        new_odd = op(scaled_odd, co.forward(scaled_even, training, rng))
-        new_even = op(scaled_even, ce.forward(scaled_odd, training, rng))
+        new_odd = op(scaled_odd, run("correct_odd", scaled_even))
+        new_even = op(scaled_even, run("correct_even", scaled_odd))
         return new_even, new_odd
 
     def leaves(self, x, prefix, level, training, rng):
@@ -77,7 +107,7 @@ class ReferenceNet:
         cfg = self.cfg
         outputs, current = [], x
         for s in range(cfg.stacks):
-            rep = realign(self.leaves(current, f"stack{s}/b", 1, training, rng))
+            rep = _interleave(self.leaves(current, f"stack{s}/b", 1, training, rng))
             rep = rep if cfg.no_residual else add(rep, current)
             if cfg.no_decoder:
                 pred = slice_time(rep, cfg.look_back - cfg.horizon, cfg.look_back)
@@ -126,7 +156,7 @@ def test_outputs_and_gradients_match_block_by_block_reference(levels, stacks, va
     for name, t in model.named_parameters():
         ref = reference.params[name].grad
         assert ref is not None and t.grad is not None, name
-        npt.assert_allclose(t.grad, ref, rtol=tol, atol=tol, err_msg=name)
+        npt.assert_allclose(t.grad, ref.reshape(t.shape), rtol=tol, atol=tol, err_msg=name)
 
 
 def test_named_views_follow_the_slabs_through_fit_and_load(tmp_path):

@@ -16,7 +16,7 @@ from scinet.model import (
     realign,
     split_even_odd,
 )
-from scinet.tensor import Tape, Tensor, backward, finite_diff_check, mul, sum_all
+from scinet.tensor import Tape, Tensor, backward, finite_diff_check, gather_groups, mul, sum_all
 
 
 def config(**kw):
@@ -80,24 +80,20 @@ class TestSplitRealign:
     def test_realign_two_level_worked_example(self):
         # splitting [1..8] twice gives leaves [1,5], [3,7], [2,6], [4,8] in
         # tree order (even branch first); realign must restore [1..8]
-        parts = [
-            Tensor(np.array([[[1.0, 5.0]]])),
-            Tensor(np.array([[[3.0, 7.0]]])),
-            Tensor(np.array([[[2.0, 6.0]]])),
-            Tensor(np.array([[[4.0, 8.0]]])),
-        ]
+        parts = Tensor(np.reshape([1.0, 5.0, 3.0, 7.0, 2.0, 6.0, 4.0, 8.0], (4, 1, 1, 2)))
         out = realign(parts)
         npt.assert_array_equal(out.data, [[[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]]])
 
     def test_realign_rejects_non_power_of_two(self):
-        parts = [Tensor(np.zeros((1, 1, 2)))] * 3
+        parts = Tensor(np.zeros((3, 1, 1, 2)))
         with pytest.raises(DimensionError):
             realign(parts)
 
     def test_realign_rejects_length_mismatch(self):
-        parts = [Tensor(np.zeros((1, 1, 2))), Tensor(np.zeros((1, 1, 3)))]
+        # leaves of different lengths cannot be stacked into realign's input
+        parts = [Tensor(np.zeros((1, 1, 1, 2))), Tensor(np.zeros((1, 1, 1, 3)))]
         with pytest.raises(DimensionError):
-            realign(parts)
+            realign(gather_groups(parts))
 
     @given(levels=st.integers(1, 4), mult=st.integers(1, 6), seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -111,26 +107,27 @@ class TestSplitRealign:
             even, odd = split_even_odd(t)
             return tree_split(even, depth - 1) + tree_split(odd, depth - 1)
 
-        out = realign(tree_split(x, levels))
+        out = realign(Tensor(np.stack([leaf.data for leaf in tree_split(x, levels)])))
         npt.assert_array_equal(out.data, x.data)
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
     def test_realign_records_one_tape_node(self, levels):
-        parts = [Tensor(np.zeros((1, 1, 2)), requires_grad=True) for _ in range(1 << levels)]
+        parts = Tensor(np.zeros((1 << levels, 1, 1, 2)), requires_grad=True)
         with Tape() as tape:
             realign(parts)
         assert len(tape.nodes) == 1
 
     def test_realign_gradient_is_permutation(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(1, 1, 8)), requires_grad=True)
+        # x's leading axis is one leaf group, so the split leaves stack into realign's input
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 1, 1, 8)), requires_grad=True)
         probe = Tensor(np.arange(8.0).reshape(1, 1, 8))
         with Tape() as tape:
             even, odd = split_even_odd(x)
             ee, eo = split_even_odd(even)
             oe, oo = split_even_odd(odd)
-            loss = sum_all(mul(realign([ee, eo, oe, oo]), probe))
+            loss = sum_all(mul(realign(gather_groups([ee, eo, oe, oo])), probe))
         backward(loss, tape)
-        npt.assert_array_equal(x.grad, probe.data)
+        npt.assert_array_equal(x.grad, probe.data[None])
 
 
 class _ConstStub:

@@ -73,28 +73,28 @@ class TestInit:
 class TestInteractionForward:
     def test_shape_preserved(self):
         m = make_module(channels=3, identity_init=False)
-        x = Tensor(np.random.default_rng(0).normal(size=(4, 3, 12)))
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 12, 4)))
         out = m.forward(x)
-        assert out.shape == (4, 3, 12)
+        assert out.shape == (1, 3, 12, 4)
 
     def test_output_bounded_by_tanh(self):
         m = make_module(seed=3, channels=2, identity_init=False)
-        x = Tensor(np.random.default_rng(1).normal(size=(2, 2, 16)) * 3.0)
+        x = Tensor(np.random.default_rng(1).normal(size=(1, 2, 16, 2)) * 3.0)
         out = m.forward(x)
         assert np.all(out.data > -1.0) and np.all(out.data < 1.0)
         # extreme inputs saturate, but never escape [-1, 1] even in float64
-        huge = Tensor(np.random.default_rng(2).normal(size=(2, 2, 16)) * 1e6)
+        huge = Tensor(np.random.default_rng(2).normal(size=(1, 2, 16, 2)) * 1e6)
         out = m.forward(huge)
         assert np.all(np.abs(out.data) <= 1.0)
 
     def test_identity_init_output_is_zero(self):
         m = make_module(seed=4, channels=3, identity_init=True)
-        x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 8)))
+        x = Tensor(np.random.default_rng(2).normal(size=(1, 3, 8, 2)))
         npt.assert_array_equal(m.forward(x).data, 0.0)
 
     def test_eval_mode_is_deterministic_despite_dropout_config(self):
         m = make_module(seed=5, channels=2, identity_init=False, dropout=0.5)
-        x = Tensor(np.random.default_rng(3).normal(size=(1, 2, 10)))
+        x = Tensor(np.random.default_rng(3).normal(size=(1, 2, 10, 1)))
         first = m.forward(x, training=False).data
         second = m.forward(x, training=False).data
         npt.assert_array_equal(first, second)
@@ -102,13 +102,13 @@ class TestInteractionForward:
     def test_wrong_channel_count_rejected(self):
         m = make_module(channels=3)
         with pytest.raises(DimensionError):
-            m.forward(Tensor(np.zeros((1, 2, 8))))
+            m.forward(Tensor(np.zeros((1, 2, 8, 1))))
 
     def test_gradcheck(self):
         m = make_module(seed=6, channels=2, identity_init=False, kernel=3)
         rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(size=(2, 2, 6)), requires_grad=True)
-        probe = Tensor(rng.normal(size=(2, 2, 6)))
+        x = Tensor(rng.normal(size=(1, 2, 6, 2)), requires_grad=True)
+        probe = Tensor(rng.normal(size=(1, 2, 6, 2)))
         params = [x, m.w_in, m.b_in, m.w_out, m.b_out]
 
         def f():

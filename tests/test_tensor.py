@@ -151,58 +151,58 @@ class TestConv1d:
     def test_worked_example(self):
         # x=[1,2,3], w=[1,0,-1], b=0: padded input is [1,1,2,3,3] and the
         # cross-correlation gives [1-2, 1-3, 2-3] = [-1,-2,-1]
-        x = leaf(np.array([[[1.0, 2.0, 3.0]]]))
-        w = leaf(np.array([[[1.0, 0.0, -1.0]]]))
-        b = leaf(np.array([0.0]))
+        x = leaf(np.reshape([1.0, 2.0, 3.0], (1, 1, 3, 1)))
+        w = leaf(np.reshape([1.0, 0.0, -1.0], (1, 1, 1, 3)))
+        b = leaf(np.zeros((1, 1)))
         out = conv1d(x, w, b)
-        npt.assert_array_equal(out.data, [[[-1.0, -2.0, -1.0]]])
+        npt.assert_array_equal(out.data, np.reshape([-1.0, -2.0, -1.0], (1, 1, 3, 1)))
 
     def test_cross_correlation_not_convolution(self):
         # an asymmetric kernel distinguishes the two conventions: with
         # w=[1,0,0], out[t] picks padded[t] (the left neighbour), not the right
-        x = leaf(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
-        w = leaf(np.array([[[1.0, 0.0, 0.0]]]))
-        b = leaf(np.array([0.0]))
+        x = leaf(np.reshape([1.0, 2.0, 3.0, 4.0], (1, 1, 4, 1)))
+        w = leaf(np.reshape([1.0, 0.0, 0.0], (1, 1, 1, 3)))
+        b = leaf(np.zeros((1, 1)))
         out = conv1d(x, w, b)
-        npt.assert_array_equal(out.data, [[[1.0, 1.0, 2.0, 3.0]]])
+        npt.assert_array_equal(out.data, np.reshape([1.0, 1.0, 2.0, 3.0], (1, 1, 4, 1)))
 
     def test_bias_gradient_counts_time_steps(self):
         # d(sum(out))/db is the number of time positions, per output channel
         rng = np.random.default_rng(1)
-        x = leaf(rng.normal(size=(1, 2, 7)))
-        w = leaf(rng.normal(size=(3, 2, 5)))
-        b = leaf(np.zeros(3))
+        x = leaf(rng.normal(size=(1, 2, 7, 1)))
+        w = leaf(rng.normal(size=(1, 3, 2, 5)))
+        b = leaf(np.zeros((1, 3)))
         with Tape() as tape:
             loss = sum_all(conv1d(x, w, b))
         backward(loss, tape)
-        npt.assert_allclose(b.grad, [7.0, 7.0, 7.0])
+        npt.assert_allclose(b.grad, [[7.0, 7.0, 7.0]])
 
     def test_identity_kernel_is_identity(self):
         rng = np.random.default_rng(2)
         for channels, n, k in [(1, 4, 1), (2, 6, 3), (3, 10, 5)]:
-            x = leaf(rng.normal(size=(2, channels, n)))
-            w = np.zeros((channels, channels, k))
+            x = leaf(rng.normal(size=(1, channels, n, 2)))
+            w = np.zeros((1, channels, channels, k))
             for c in range(channels):
-                w[c, c, (k - 1) // 2] = 1.0
-            out = conv1d(x, leaf(w), leaf(np.zeros(channels)))
+                w[0, c, c, (k - 1) // 2] = 1.0
+            out = conv1d(x, leaf(w), leaf(np.zeros((1, channels))))
             npt.assert_allclose(out.data, x.data, atol=0)
 
     def test_even_kernel_rejected(self):
-        x = leaf(np.zeros((1, 1, 4)))
+        x = leaf(np.zeros((1, 1, 4, 1)))
         with pytest.raises(ConfigError):
-            conv1d(x, leaf(np.zeros((1, 1, 4))), leaf(np.zeros(1)))
+            conv1d(x, leaf(np.zeros((1, 1, 1, 4))), leaf(np.zeros((1, 1))))
 
     def test_channel_mismatch_rejected(self):
-        x = leaf(np.zeros((1, 2, 4)))
+        x = leaf(np.zeros((1, 2, 4, 1)))
         with pytest.raises(DimensionError):
-            conv1d(x, leaf(np.zeros((1, 3, 3))), leaf(np.zeros(1)))
+            conv1d(x, leaf(np.zeros((1, 1, 3, 3))), leaf(np.zeros((1, 1))))
 
     def test_gradcheck_all_inputs(self):
         rng = np.random.default_rng(3)
-        x = leaf(rng.normal(size=(2, 2, 6)))
-        w = leaf(rng.normal(size=(3, 2, 3)))
-        b = leaf(rng.normal(size=3))
-        probe = np.asarray(rng.normal(size=(2, 3, 6)))
+        x = leaf(rng.normal(size=(1, 2, 6, 2)))
+        w = leaf(rng.normal(size=(1, 3, 2, 3)))
+        b = leaf(rng.normal(size=(1, 3)))
+        probe = np.asarray(rng.normal(size=(1, 3, 6, 2)))
 
         def f():
             return sum_all(mul(conv1d(x, w, b), Tensor(probe)))
@@ -212,10 +212,10 @@ class TestConv1d:
     @pytest.mark.parametrize("k, n", [(1, 6), (5, 1)], ids=["k1 unpadded", "k5 n1 multi-pad edge fold"])
     def test_gradcheck_padding_extremes(self, k, n):
         rng = np.random.default_rng(7)
-        x = leaf(rng.normal(size=(2, 3, n)))
-        w = leaf(rng.normal(size=(2, 3, k)))
-        b = leaf(rng.normal(size=2))
-        probe = np.asarray(rng.normal(size=(2, 2, n)))
+        x = leaf(rng.normal(size=(1, 3, n, 2)))
+        w = leaf(rng.normal(size=(1, 2, 3, k)))
+        b = leaf(rng.normal(size=(1, 2)))
+        probe = np.asarray(rng.normal(size=(1, 2, n, 2)))
 
         def f():
             return sum_all(mul(conv1d(x, w, b), Tensor(probe)))
@@ -223,6 +223,7 @@ class TestConv1d:
         assert finite_diff_check(f, [x, w, b]) < 1e-6
 
     @given(
+        groups=st.integers(1, 3),
         batch=st.integers(1, 3),
         in_ch=st.integers(1, 4),
         out_ch=st.integers(1, 4),
@@ -231,49 +232,44 @@ class TestConv1d:
         seed=st.integers(0, 10_000),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_tap_by_tap_reference(self, batch, in_ch, out_ch, k, n, seed):
+    def test_matches_tap_by_tap_reference(self, groups, batch, in_ch, out_ch, k, n, seed):
         # independent reference: each padded position reads x at its index
         # clamped into [0, n), one tap at a time, and the input gradient
         # scatters back through the same clamped index
         rng = np.random.default_rng(seed)
-        xd = rng.normal(size=(batch, in_ch, n))
-        wd = rng.normal(size=(out_ch, in_ch, k))
-        bd = rng.normal(size=out_ch)
-        probe = rng.normal(size=(batch, out_ch, n))
+        xd, wd = rng.normal(size=(groups, in_ch, n, batch)), rng.normal(size=(groups, out_ch, in_ch, k))
+        bd, probe = rng.normal(size=(groups, out_ch)), rng.normal(size=(groups, out_ch, n, batch))
         pad = (k - 1) // 2
         source = np.clip(np.arange(n + 2 * pad) - pad, 0, n - 1)
         padded = xd[:, :, source]
-        out = np.broadcast_to(bd[None, :, None], (batch, out_ch, n)).copy()
-        gw = np.zeros_like(wd)
-        gx = np.zeros_like(xd)
+        out = np.broadcast_to(bd[:, :, None, None], probe.shape).copy()
+        gw, gx = np.zeros_like(wd), np.zeros_like(xd)
         for j in range(k):
             tap = padded[:, :, j:j + n]
-            out += np.einsum("oc,bct->bot", wd[:, :, j], tap)
-            gw[:, :, j] = np.einsum("bot,bct->oc", probe, tap)
-            np.add.at(gx, (slice(None), slice(None), source[j:j + n]), np.einsum("oc,bot->bct", wd[:, :, j], probe))
+            out += np.einsum("goc,gctb->gotb", wd[..., j], tap)
+            gw[..., j] = np.einsum("gotb,gctb->goc", probe, tap)
+            np.add.at(gx, (slice(None), slice(None), source[j:j + n]), np.einsum("goc,gotb->gctb", wd[..., j], probe))
 
         x, w, b = leaf(xd), leaf(wd), leaf(bd)
         with Tape() as tape:
             y = conv1d(x, w, b)
             loss = sum_all(mul(y, Tensor(probe)))
         backward(loss, tape)
-        npt.assert_allclose(y.data, out, rtol=1e-12, atol=1e-12)
-        npt.assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-12)
-        npt.assert_allclose(w.grad, gw, rtol=1e-12, atol=1e-12)
-        npt.assert_allclose(b.grad, probe.sum(axis=(0, 2)), rtol=1e-12, atol=1e-12)
+        for got, want in ((y.data, out), (x.grad, gx), (w.grad, gw), (b.grad, probe.sum(axis=(2, 3)))):
+            npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_rule_keeps_only_its_inputs_arrays(self):
         # the tape holds no conv1d buffer: the backward rule's closure reaches
         # no array other than the input's and the kernel's own
         rng = np.random.default_rng(4)
-        x, w, b = leaf(rng.normal(size=(2, 3, 6))), leaf(rng.normal(size=(4, 3, 5))), leaf(np.zeros(4))
+        x, w, b = leaf(rng.normal(size=(1, 3, 6, 2))), leaf(rng.normal(size=(1, 4, 3, 5))), leaf(np.zeros((1, 4)))
         with Tape() as tape:
             conv1d(x, w, b)
         cells = [cell.cell_contents for cell in tape.nodes[-1].rule.__closure__]
         assert cells and all(c is x.data or c is w.data for c in cells)
 
-    @pytest.mark.parametrize("shape, kernel", [((3, 2, 7), (4, 2, 5)), ((3, 2, 7, 4), (3, 5, 2, 3))],
-                             ids=["3-d", "grouped"])
+    @pytest.mark.parametrize("shape, kernel", [((1, 2, 7, 3), (1, 4, 2, 5)), ((3, 2, 7, 4), (3, 5, 2, 3))],
+                             ids=["one group", "grouped"])
     def test_input_without_gradient_skips_only_the_input_gradient(self, shape, kernel):
         rng = np.random.default_rng(8)
         xd, wd = rng.normal(size=shape), rng.normal(size=kernel)
@@ -542,7 +538,7 @@ class TestGroupedOps:
     )
     @settings(max_examples=60, deadline=None)
     def test_grouped_conv1d_is_separate_calls_bit_for_bit(self, groups, batch, in_ch, out_ch, k, n, chunk, seed):
-        # group g of x (G, C, n, B) is the 3-d call on x[g] moved to (B, C, n), whatever the chunking
+        # group g of a call on x (G, C, n, B) is the one-group call on x[g:g+1], whatever the chunking
         rng = np.random.default_rng(seed)
         x, w, b = rng.normal(size=(groups, in_ch, n, batch)), rng.normal(size=(groups, out_ch, in_ch, k)), \
             rng.normal(size=(groups, out_ch))
@@ -552,49 +548,24 @@ class TestGroupedOps:
             with Tape() as tape:
                 out = conv1d(leaf(x), leaf(w), leaf(b))
             gx, gw, gb = tape.nodes[-1].rule(g)
-        batch_first = (2, 0, 1)  # (C, n, B) -> (B, C, n)
         for i in range(groups):
+            one = slice(i, i + 1)
             with Tape() as tape:
-                ref = conv1d(leaf(x[i].transpose(batch_first)), leaf(w[i]), leaf(b[i]))
-            rx, rw, rb = tape.nodes[-1].rule(np.ascontiguousarray(g[i].transpose(batch_first)))
-            assert np.ascontiguousarray(out.data[i].transpose(batch_first)).tobytes() == ref.data.tobytes()
-            assert np.ascontiguousarray(gx[i].transpose(batch_first)).tobytes() == rx.tobytes()
-            assert gw[i].tobytes() == rw.tobytes() and gb[i].tobytes() == rb.tobytes()
-
-    @given(
-        groups=st.integers(1, 3), batch=st.integers(1, 3), in_ch=st.integers(1, 3), out_ch=st.integers(1, 3),
-        k=st.sampled_from([1, 3, 5, 7]), n=st.integers(1, 10), seed=st.integers(0, 1000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_grouped_conv1d_matches_tap_by_tap_reference(self, groups, batch, in_ch, out_ch, k, n, seed):
-        rng = np.random.default_rng(seed)
-        xd, wd = rng.normal(size=(groups, in_ch, n, batch)), rng.normal(size=(groups, out_ch, in_ch, k))
-        bd, probe = rng.normal(size=(groups, out_ch)), rng.normal(size=(groups, out_ch, n, batch))
-        pad = (k - 1) // 2
-        source = np.clip(np.arange(n + 2 * pad) - pad, 0, n - 1)
-        padded = xd[:, :, source]
-        out = np.broadcast_to(bd[:, :, None, None], probe.shape).copy()
-        gw, gx = np.zeros_like(wd), np.zeros_like(xd)
-        for j in range(k):
-            tap = padded[:, :, j:j + n]
-            out += np.einsum("goc,gctb->gotb", wd[..., j], tap)
-            gw[..., j] = np.einsum("gotb,gctb->goc", probe, tap)
-            np.add.at(gx, (slice(None), slice(None), source[j:j + n]), np.einsum("goc,gotb->gctb", wd[..., j], probe))
-        x, w, b = leaf(xd), leaf(wd), leaf(bd)
-        with Tape() as tape:
-            y = conv1d(x, w, b)
-            loss = sum_all(mul(y, Tensor(probe)))
-        backward(loss, tape)
-        for got, want in ((y.data, out), (x.grad, gx), (w.grad, gw), (b.grad, probe.sum(axis=(2, 3)))):
-            npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                ref = conv1d(leaf(x[one]), leaf(w[one]), leaf(b[one]))
+            rx, rw, rb = tape.nodes[-1].rule(np.ascontiguousarray(g[one]))
+            assert out.data[one].tobytes() == ref.data.tobytes()
+            assert gx[one].tobytes() == rx.tobytes()
+            assert gw[one].tobytes() == rw.tobytes() and gb[one].tobytes() == rb.tobytes()
 
     def test_grouped_conv1d_checks_group_counts(self):
-        with pytest.raises(DimensionError, match="groups"):
+        with pytest.raises(DimensionError, match="groups"):  # 2 input groups, 3 kernel groups
             conv1d(leaf(np.zeros((2, 3, 4, 1))), leaf(np.zeros((3, 2, 3, 3))), leaf(np.zeros((3, 2))))
-        with pytest.raises(DimensionError, match="grouping"):
+        with pytest.raises(DimensionError, match="groups"):  # a kernel without its group axis
             conv1d(leaf(np.zeros((2, 3, 4, 1))), leaf(np.zeros((2, 3, 3))), leaf(np.zeros(2)))
-        with pytest.raises(DimensionError, match="channels"):  # channels are axis 1: (G, C, n, B)
+        with pytest.raises(DimensionError, match="groups"):  # channels are axis 1: (G, C, n, B)
             conv1d(leaf(np.zeros((2, 1, 3, 4))), leaf(np.zeros((2, 2, 3, 3))), leaf(np.zeros((2, 2))))
+        with pytest.raises(DimensionError, match="groups"):  # a (batch, channels, time) input
+            conv1d(leaf(np.zeros((2, 3, 4))), leaf(np.zeros((1, 2, 3, 3))), leaf(np.zeros((1, 2))))
 
     @given(
         groups=st.integers(1, 3), batch=st.integers(1, 3), ch=st.integers(1, 3), half=st.integers(1, 3),
@@ -630,10 +601,10 @@ class TestGroupedOps:
 
     def test_gather_groups_values_and_gradient(self):
         rng = np.random.default_rng(0)
-        a, b = leaf(rng.normal(size=(2, 3, 4))), leaf(rng.normal(size=(2, 3, 4)))  # each one group
+        a, b = leaf(rng.normal(size=(1, 2, 3, 4))), leaf(rng.normal(size=(1, 2, 3, 4)))  # each one group
         c = leaf(rng.normal(size=(2, 2, 3, 4)))
         out = gather_groups((a, b, c), [3, 0, 2, 1])
-        npt.assert_array_equal(out.data, np.stack([c.data[1], a.data, c.data[0], b.data]))
+        npt.assert_array_equal(out.data, np.stack([c.data[1], a.data[0], c.data[0], b.data[0]]))
         probe = leaf(rng.normal(size=(4, 2, 3, 4)), requires_grad=False)
         assert finite_diff_check(lambda: sum_all(mul(gather_groups((a, b, c), [3, 0, 2, 1]), probe)),
                                  [a, b, c]) < 1e-6
@@ -649,7 +620,8 @@ class TestGroupedOps:
     def test_realign_of_stacked_leaves_matches_the_list(self, levels):
         parts = np.random.default_rng(levels).normal(size=(1 << levels, 2, 3, 2))
         stacked = realign(leaf(parts))
-        npt.assert_array_equal(stacked.data, realign([leaf(p) for p in parts]).data)
+        order = [int(f"{j:0{levels}b}"[::-1], 2) for j in range(1 << levels)]  # leaf i ends at its bit reversal
+        npt.assert_array_equal(stacked.data, interleave_time(*(leaf(parts[i]) for i in order)).data)
         probe = leaf(np.random.default_rng(9).normal(size=stacked.shape), requires_grad=False)
         t = leaf(parts)
         assert finite_diff_check(lambda: sum_all(mul(realign(t), probe)), [t]) < 1e-6
