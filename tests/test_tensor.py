@@ -147,6 +147,33 @@ class TestActivations:
         npt.assert_array_equal(x.grad, [-1.0, 0.0, 1.0])
 
 
+def check_conv1d_against_tap_by_tap(groups, batch, in_ch, out_ch, k, n, seed):
+    # independent reference: each padded position reads x at its index
+    # clamped into [0, n), one tap at a time, and the input gradient
+    # scatters back through the same clamped index
+    rng = np.random.default_rng(seed)
+    xd, wd = rng.normal(size=(groups, in_ch, n, batch)), rng.normal(size=(groups, out_ch, in_ch, k))
+    bd, probe = rng.normal(size=(groups, out_ch)), rng.normal(size=(groups, out_ch, n, batch))
+    pad = (k - 1) // 2
+    source = np.clip(np.arange(n + 2 * pad) - pad, 0, n - 1)
+    padded = xd[:, :, source]
+    out = np.broadcast_to(bd[:, :, None, None], probe.shape).copy()
+    gw, gx = np.zeros_like(wd), np.zeros_like(xd)
+    for j in range(k):
+        tap = padded[:, :, j:j + n]
+        out += np.einsum("goc,gctb->gotb", wd[..., j], tap)
+        gw[..., j] = np.einsum("gotb,gctb->goc", probe, tap)
+        np.add.at(gx, (slice(None), slice(None), source[j:j + n]), np.einsum("goc,gotb->gctb", wd[..., j], probe))
+
+    x, w, b = leaf(xd), leaf(wd), leaf(bd)
+    with Tape() as tape:
+        y = conv1d(x, w, b)
+        loss = sum_all(mul(y, Tensor(probe)))
+    backward(loss, tape)
+    for got, want in ((y.data, out), (x.grad, gx), (w.grad, gw), (b.grad, probe.sum(axis=(2, 3)))):
+        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 class TestConv1d:
     def test_worked_example(self):
         # x=[1,2,3], w=[1,0,-1], b=0: padded input is [1,1,2,3,3] and the
@@ -233,30 +260,7 @@ class TestConv1d:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_tap_by_tap_reference(self, groups, batch, in_ch, out_ch, k, n, seed):
-        # independent reference: each padded position reads x at its index
-        # clamped into [0, n), one tap at a time, and the input gradient
-        # scatters back through the same clamped index
-        rng = np.random.default_rng(seed)
-        xd, wd = rng.normal(size=(groups, in_ch, n, batch)), rng.normal(size=(groups, out_ch, in_ch, k))
-        bd, probe = rng.normal(size=(groups, out_ch)), rng.normal(size=(groups, out_ch, n, batch))
-        pad = (k - 1) // 2
-        source = np.clip(np.arange(n + 2 * pad) - pad, 0, n - 1)
-        padded = xd[:, :, source]
-        out = np.broadcast_to(bd[:, :, None, None], probe.shape).copy()
-        gw, gx = np.zeros_like(wd), np.zeros_like(xd)
-        for j in range(k):
-            tap = padded[:, :, j:j + n]
-            out += np.einsum("goc,gctb->gotb", wd[..., j], tap)
-            gw[..., j] = np.einsum("gotb,gctb->goc", probe, tap)
-            np.add.at(gx, (slice(None), slice(None), source[j:j + n]), np.einsum("goc,gotb->gctb", wd[..., j], probe))
-
-        x, w, b = leaf(xd), leaf(wd), leaf(bd)
-        with Tape() as tape:
-            y = conv1d(x, w, b)
-            loss = sum_all(mul(y, Tensor(probe)))
-        backward(loss, tape)
-        for got, want in ((y.data, out), (x.grad, gx), (w.grad, gw), (b.grad, probe.sum(axis=(2, 3)))):
-            npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        check_conv1d_against_tap_by_tap(groups, batch, in_ch, out_ch, k, n, seed)
 
     def test_rule_keeps_only_its_inputs_arrays(self):
         # the tape holds no conv1d buffer: the backward rule's closure reaches
@@ -556,6 +560,14 @@ class TestGroupedOps:
             assert out.data[one].tobytes() == ref.data.tobytes()
             assert gx[one].tobytes() == rx.tobytes()
             assert gw[one].tobytes() == rw.tobytes() and gb[one].tobytes() == rb.tobytes()
+
+    @given(
+        groups=st.integers(1, 3), batch=st.integers(1, 3), in_ch=st.integers(1, 3), out_ch=st.integers(1, 3),
+        k=st.sampled_from([1, 3, 5, 7]), n=st.integers(1, 10), seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_grouped_conv1d_matches_tap_by_tap_reference(self, groups, batch, in_ch, out_ch, k, n, seed):
+        check_conv1d_against_tap_by_tap(groups, batch, in_ch, out_ch, k, n, seed)
 
     def test_grouped_conv1d_checks_group_counts(self):
         with pytest.raises(DimensionError, match="groups"):  # 2 input groups, 3 kernel groups
