@@ -156,10 +156,10 @@ def _assign(cfg: RunConfig, key: str, value: str, source: str):
 
 def _check_writable(path: str, parent_made: bool = False) -> None:
     """Raise now, before any work, the error that writing ``path`` through ``replacing`` would end
-    with: ``path`` is a directory, or its directory is missing (unless the writer makes it)."""
+    with: ``path`` is empty or a directory, or its directory is missing (unless the writer makes it)."""
     if os.path.isdir(path):
         reason = errno.EISDIR
-    elif not parent_made and not os.path.isdir(os.path.dirname(path) or "."):
+    elif not path or not parent_made and not os.path.isdir(os.path.dirname(path) or "."):
         reason = errno.ENOENT
     else:
         return

@@ -195,12 +195,18 @@ def split(frame: TimeSeriesFrame, spec: SplitSpec) -> tuple[tuple[int, int], tup
         if frame.timestamps is None:
             raise ConfigError("months split requires a timestamp column")
         stamps = [_parse_stamp(t) for t in frame.timestamps]
+        aware = [t.tzinfo is not None for t in stamps]
+        if len(set(aware)) > 1:
+            odd = aware.index(not aware[0])
+            raise ConfigError(f"timestamp {frame.timestamps[odd]!r} {'has' if aware[odd] else 'lacks'} a time "
+                              f"zone, unlike {frame.timestamps[0]!r}; they cannot be ordered")
         for a, b in zip(stamps, stamps[1:]):
             if b <= a:
                 raise ConfigError(f"timestamps must be strictly increasing; {b} follows {a}")
-        b1 = _add_months(stamps[0], spec.parts[0])
-        b2 = _add_months(stamps[0], spec.parts[0] + spec.parts[1])
-        b3 = _add_months(stamps[0], sum(spec.parts))
+        try:
+            b1, b2, b3 = (_add_months(stamps[0], m) for m in (spec.parts[0], sum(spec.parts[:2]), sum(spec.parts)))
+        except (ValueError, OverflowError):
+            raise ConfigError(f"split {spec} runs past year {datetime.max.year} from {stamps[0]}") from None
         # rows before each boundary; stamps are strictly increasing
         n_train = bisect_left(stamps, b1)
         n_val = bisect_left(stamps, b2) - n_train
@@ -285,13 +291,6 @@ class WindowDataset:
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    def sample(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Window i as (time, variate) input and target views."""
-        if not 0 <= i < len(self):
-            raise ConfigError(f"window index {i} out of range [0, {len(self)})")
-        rows = self.windows[self.starts[i]].T
-        return rows[:self.look_back], rows[self.look_back:]
 
     def gather(self, indices: np.ndarray) -> tuple[Tensor, Tensor]:
         """Assemble (batch, variates, time) input and target tensors."""

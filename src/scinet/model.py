@@ -193,38 +193,6 @@ def _depth_first(levels: int) -> list[tuple[int, int]]:
     return order
 
 
-class _TreeDraws:
-    """A tree's dropout draws for one training forward, made up front block by block.
-
-    Each block draws for its four module calls in the order it makes them,
-    blocks depth-first, so the rng stream is that of a block-by-block forward.
-    Each draw lands in its block's row of its level's scale or correction
-    array, (2G, batch, hidden, n) as a block-by-block forward draws it;
-    ``random(shape)`` stands in for the generator's inside ``dropout_forward``
-    and hands these arrays out in the order the grouped module calls ask for
-    them, in the modules' (2G, hidden, n, batch) layout.
-    """
-
-    def __init__(self, rng: np.random.Generator, config: "ModelConfig", batch: int):
-        hidden = config.n_variates * config.hidden_ratio
-        per_level = [
-            [np.empty((2 << level, batch, hidden, config.look_back >> (level + 1))) for _ in range(2)]
-            for level in range(config.levels)
-        ]
-        for level, g in _depth_first(config.levels):
-            (scale, correct), groups = per_level[level - 1], 1 << (level - 1)
-            calls = ((scale, g), (scale, groups + g), (correct, g), (correct, groups + g))
-            for out, row in (calls[::2] + calls[1::2]) if config.no_interlearn else calls:
-                rng.random(out=out[row])
-        self.pending = [out for pair in per_level for out in pair]
-
-    def random(self, shape: tuple[int, ...]) -> np.ndarray:
-        out = np.ascontiguousarray(self.pending.pop(0).transpose(0, 2, 3, 1))
-        if out.shape != shape:
-            raise DimensionError(f"dropout draws of shape {out.shape} requested as {shape}")
-        return out
-
-
 def _row(t: Tensor, index: int) -> Tensor:
     """Row ``index`` of a grouped parameter, sharing its data and any gradient; it is not taped."""
     view = Tensor._wrap(t.data[index], t.requires_grad)
@@ -246,7 +214,9 @@ class SCINetTree:
     row per block and role. Weights are drawn block by block, depth-first,
     then stacked into the slabs. ``named_rows`` gives each block tensor's
     name (``stack0/beo/scale_for_odd/w_in``), slab and row, blocks in
-    depth-first order: the checkpoint's order.
+    depth-first order: the checkpoint's order. A training forward draws its
+    dropout masks level by level, as the grouped calls ask for them: the
+    scale call's (2G, hidden, n, batch) mask, then the correction call's.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator, name: str):
@@ -289,8 +259,6 @@ class SCINetTree:
 
     def representation(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         """The realigned leaves plus, unless ``no_residual``, the input: what the decoder reads."""
-        if training and rng is not None and self.config.dropout > 0.0:
-            rng = _TreeDraws(rng, self.config, x.shape[0])
         rep = realign(self.root.forward(x, training, rng))
         return rep if self.config.no_residual else add(rep, x)
 
@@ -340,13 +308,9 @@ class StackedSCINet:
         """Each block's tensors in checkpoint order; a slab row is a view of the slab's current data."""
         return [(name, t if row is None else _row(t, row)) for tree in self.trees for name, t, row in tree.named_rows]
 
-    def parameter_rows(self) -> list[tuple[Tensor, int | None]]:
-        """(slab, row) for each named parameter, in the same order; row None is a whole tensor."""
-        return [(t, row) for tree in self.trees for _, t, row in tree.named_rows]
-
     def parameters(self) -> list[Tensor]:
         """The slabs and the decoders' tensors, each once."""
-        return list(dict.fromkeys(t for t, _ in self.parameter_rows()))
+        return list(dict.fromkeys(t for tree in self.trees for _, t, _ in tree.named_rows))
 
 
 def build_model(config: ModelConfig) -> StackedSCINet:

@@ -54,44 +54,30 @@ class Adam:
     The parameters are packed, in the order given, into one float64 vector
     ``flat`` and each ``data`` becomes a view of it, so rebinding a ``data``
     afterwards detaches that parameter. A missing ``grad`` counts as zero;
-    ``step`` consumes and clears every ``grad``. Clipping adds the gradient's
-    per-part sums of squares in the order of ``parts``: (parameter, row) pairs,
-    row None for a whole parameter, by default each parameter whole in turn.
-    A model passes its ``parameter_rows``, so the clip follows checkpoint order.
+    ``step`` consumes and clears every ``grad``. Clipping adds one sum of
+    squares per parameter, in the order given.
     """
 
-    def __init__(self, params: list[Tensor], lr: float, clip_norm: float = 0.0, parts=None):
+    def __init__(self, params: list[Tensor], lr: float, clip_norm: float = 0.0):
         self.params = list(params)
         self.lr = lr
         self.clip_norm = clip_norm
         self.step_count = 0
         self.flat = np.concatenate([p.data.ravel() for p in self.params])
         bounds = np.cumsum([0] + [p.size for p in self.params]).tolist()
-        spans = {id(p): (start, stop) for p, start, stop in zip(self.params, bounds, bounds[1:])}
-        for p in self.params:
-            start, stop = spans[id(p)]
+        for p, start, stop in zip(self.params, bounds, bounds[1:]):
             p.data = self.flat[start:stop].reshape(p.shape)
         self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
         self._grad, self._work = np.empty_like(self.flat), np.empty_like(self.flat)
-
-        def view(p):
-            start, stop = spans[id(p)]
-            return self._work[start:stop]
-
-        # per-part sums of squares, added in order: one whole-vector or reduceat sum moves the clip's bits.
-        # A slab's rows are summed by one row-wise reduction, which gives the bits of one sum per row.
-        parts = parts or [(p, None) for p in self.params]
-        self._slabs = {id(p): view(p).reshape(p.shape[0], -1) for p, row in parts if row is not None}
-        self._parts = [(id(p), row, view(p) if row is None else None) for p, row in parts]
+        # one sum per parameter, added in order: a whole-vector or reduceat sum moves the clip's bits
+        self._squares = [self._work[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
     def step(self) -> None:
         g, work = self._grad, self._work
         np.concatenate([np.zeros(p.size) if p.grad is None else p.grad.ravel() for p in self.params], out=g)
         if self.clip_norm > 0:
             np.multiply(g, g, out=work)
-            rows = {key: slab.sum(axis=1).tolist() for key, slab in self._slabs.items()}
-            total = math.sqrt(sum(float(whole.sum()) if row is None else rows[key][row]
-                                  for key, row, whole in self._parts))
+            total = math.sqrt(sum(float(squares.sum()) for squares in self._squares))
             if total > self.clip_norm:
                 g *= self.clip_norm / total
         self.step_count += 1
@@ -205,7 +191,7 @@ def fit(
     before returning; ``history`` carries one record per epoch run.
     """
     cfg.validate()
-    optimizer = Adam(model.parameters(), lr=cfg.lr, clip_norm=cfg.clip_norm, parts=model.parameter_rows())
+    optimizer = Adam(model.parameters(), lr=cfg.lr, clip_norm=cfg.clip_norm)
     rng = np.random.default_rng(cfg.seed)
     history: list[dict] = []
     val_values: list[float] = []

@@ -234,6 +234,25 @@ class TestTrainCommand:
         assert rc == 2
         assert "data_path" in capsys.readouterr().err
 
+    def test_months_split_over_mixed_time_zones_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        frame = write_dataset(data)
+        frame.timestamps[5] = "2021-01-01 05:00:00+00:00"
+        write_csv(frame, data)
+        rc = main(["train", str(write_config(tmp_path / "r.cfg", data, tmp_path / "m.ckpt", split="months:1,1,1"))])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: timestamp '2021-01-01 05:00:00+00:00' has a time zone") and err.count("\n") == 1
+
+    def test_months_split_past_the_calendar_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_dataset(data)
+        rc = main(["train", str(write_config(tmp_path / "r.cfg", data, tmp_path / "m.ckpt",
+                                             split="months:200000,4,4"))])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: split months:200000,4,4 runs past year 9999") and err.count("\n") == 1
+
     # NaN passes every < and > check; inf trains a model of all-zero opening convs (leaky_slope),
     # or steps to NaN (lr)
     @pytest.mark.parametrize("key, value", [("leaky_slope", "nan"), ("leaky_slope", "inf"), ("lr", "nan"),
@@ -431,12 +450,14 @@ def test_unwritable_output_fails_before_the_work(trained, tmp_path, capsys, monk
     for name in ("load_checkpoint", "predict_windows", "fit"):
         monkeypatch.setattr(cli, name, never)
     for flag, command in (("--out", "eval"), ("--emit", "predict")):
-        for out, reason in ((tmp_path / "nodir" / "o", "No such file or directory"), (tmp_path, "Is a directory")):
+        for out, reason in ((tmp_path / "nodir" / "o", "No such file or directory"), (tmp_path, "Is a directory"),
+                            ("", "No such file or directory")):
             assert main([command, str(trained.ckpt), str(trained.data), flag, str(out)]) == 1
             assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
-    cfg = write_config(tmp_path / "r.cfg", trained.data, tmp_path)
-    assert main(["train", str(cfg)]) == 1
-    assert capsys.readouterr() == ("", f"error: cannot write {tmp_path}: Is a directory\n")
+    for ckpt, reason in ((tmp_path, "Is a directory"), ("", "No such file or directory")):
+        cfg = write_config(tmp_path / "r.cfg", trained.data, ckpt)
+        assert main(["train", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot write {ckpt}: {reason}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["r.cfg"]
 
 

@@ -435,24 +435,24 @@ class TestWindowDataset:
     def test_window_contents(self):
         values = np.arange(20.0).reshape(20, 1)
         ds = WindowDataset(values, (0, 20), look_back=4, horizon=2)
-        x, y = ds.sample(0)
-        npt.assert_array_equal(x, [[0.0], [1.0], [2.0], [3.0]])
-        npt.assert_array_equal(y, [[4.0], [5.0]])
-        x, y = ds.sample(len(ds) - 1)
-        npt.assert_array_equal(x, [[14.0], [15.0], [16.0], [17.0]])
-        npt.assert_array_equal(y, [[18.0], [19.0]])
+        x, y = ds.gather(np.array([0]))
+        npt.assert_array_equal(x.data, [[[0.0, 1.0, 2.0, 3.0]]])
+        npt.assert_array_equal(y.data, [[[4.0, 5.0]]])
+        x, y = ds.gather(np.array([len(ds) - 1]))
+        npt.assert_array_equal(x.data, [[[14.0, 15.0, 16.0, 17.0]]])
+        npt.assert_array_equal(y.data, [[[18.0, 19.0]]])
 
     def test_segment_offsets_respected(self):
         values = np.arange(30.0).reshape(30, 1)
         ds = WindowDataset(values, (10, 30), look_back=4, horizon=2)
-        x, _ = ds.sample(0)
-        assert x[0, 0] == 10.0
+        x, _ = ds.gather(np.array([0]))
+        assert x.data[0, 0, 0] == 10.0
 
     def test_last_window_stays_inside_segment(self):
         values = np.arange(30.0).reshape(30, 1)
         ds = WindowDataset(values, (0, 20), look_back=4, horizon=2)
-        _, y = ds.sample(len(ds) - 1)
-        assert y[-1, 0] == 19.0  # never reads past row 20
+        _, y = ds.gather(np.array([len(ds) - 1]))
+        assert y.data[0, 0, -1] == 19.0  # never reads past row 20
 
     def test_gather_layout_is_batch_variate_time(self):
         values = np.arange(24.0).reshape(12, 2)
@@ -476,9 +476,9 @@ class TestWindowDataset:
         idx = np.array(data.draw(st.lists(st.integers(0, len(ds) - 1), min_size=1, max_size=6), label="idx"))
         x, y = ds.gather(idx)
         assert x.shape == (idx.size, variates, look_back) and y.shape == (idx.size, variates, horizon)
-        samples = [ds.sample(int(i)) for i in idx]
-        assert x.data.tobytes() == np.stack([sx.T for sx, _ in samples]).tobytes()
-        assert y.data.tobytes() == np.stack([sy.T for _, sy in samples]).tobytes()
+        singles = [ds.gather(np.array([i])) for i in idx]
+        assert x.data.tobytes() == np.concatenate([sx.data for sx, _ in singles]).tobytes()
+        assert y.data.tobytes() == np.concatenate([sy.data for _, sy in singles]).tobytes()
         assert np.shares_memory(ds.windows, values)
 
     def test_too_short_segment_rejected(self):
@@ -488,8 +488,8 @@ class TestWindowDataset:
 
     def test_out_of_range_index_rejected(self):
         ds = WindowDataset(np.zeros((10, 1)), (0, 10), look_back=4, horizon=2)
-        with pytest.raises(ConfigError):
-            ds.sample(len(ds))
+        with pytest.raises(IndexError):
+            ds.gather(np.array([len(ds)]))
 
 
 @pytest.fixture(scope="module")

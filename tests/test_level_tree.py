@@ -4,10 +4,12 @@
 ran as one grouped step: one interaction module per block and role, a block
 splits, scales and corrects its own (batch, channels, time) input, and the
 leaves are interleaved from a list. Each module's convs are one-group conv1d
-calls, while its dropout draws on (batch, hidden, time) as the tree's draws
-are made. It copies its weights from a model's named parameters, so both run
-the same numbers and their outputs, dropout draws and gradients can be
-compared bit for bit.
+calls. A training forward draws each tree's dropout masks up front as the
+grouped tree does, level by level: the scale call's (2G, hidden, n, batch)
+array, then the correction call's. Each block and role reads its own row,
+transposed to its (batch, hidden, n) maps. It copies its weights from a
+model's named parameters, so both run the same numbers and their outputs,
+dropout draws and gradients can be compared bit for bit.
 """
 
 import numpy as np
@@ -65,6 +67,17 @@ def _interleave(leaves):
     return _emit(out, tuple(leaves), rule)
 
 
+class _Drawn:
+    """Stands in for the generator in ``dropout_forward``: hands out one block's row of its level's draws."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, shape):
+        assert self.draws.shape == shape
+        return self.draws
+
+
 class ReferenceNet:
     def __init__(self, model):
         self.cfg = model.config
@@ -78,11 +91,15 @@ class ReferenceNet:
         h = dropout_forward(h, self.cfg.dropout, training, rng)
         return tanh(_moved(conv1d(_moved(h, True), w_out, b_out), False))
 
-    def block(self, x, prefix, training, rng):
+    def block(self, x, prefix, g, draws):
         cfg = self.cfg
 
         def run(role, h):
-            return self.module(f"{prefix}/{'shared' if cfg.weight_share else role}", h, training, rng)
+            rng = None
+            if draws is not None:  # scale_for_odd reads row g of the scale draws, scale_for_even row G + g
+                level = draws[0] if role.startswith("scale") else draws[1]
+                rng = _Drawn(level[g if role.endswith("odd") else len(level) // 2 + g].transpose(2, 0, 1))
+            return self.module(f"{prefix}/{'shared' if cfg.weight_share else role}", h, draws is not None, rng)
 
         even, odd = split_even_odd(x)
         if cfg.no_interlearn:
@@ -96,18 +113,26 @@ class ReferenceNet:
         new_even = op(scaled_even, run("correct_even", scaled_odd))
         return new_even, new_odd
 
-    def leaves(self, x, prefix, level, training, rng):
-        even, odd = self.block(x, prefix, training, rng)
+    def leaves(self, x, prefix, level, g, draws):
+        even, odd = self.block(x, prefix, g, None if draws is None else draws[level - 1])
         if level == self.cfg.levels:
             return [even, odd]
-        return (self.leaves(even, prefix + "e", level + 1, training, rng)
-                + self.leaves(odd, prefix + "o", level + 1, training, rng))
+        return (self.leaves(even, prefix + "e", level + 1, 2 * g, draws)
+                + self.leaves(odd, prefix + "o", level + 1, 2 * g + 1, draws))
+
+    def draws(self, batch, rng):
+        """Per level, the (2G, hidden, n, batch) draws for the scale call, then for the correction call."""
+        cfg = self.cfg
+        hidden = cfg.n_variates * cfg.hidden_ratio
+        return [[rng.random((2 << level, hidden, cfg.look_back >> (level + 1), batch)) for _ in range(2)]
+                for level in range(cfg.levels)]
 
     def forward(self, x, training=False, rng=None):
         cfg = self.cfg
         outputs, current = [], x
         for s in range(cfg.stacks):
-            rep = _interleave(self.leaves(current, f"stack{s}/b", 1, training, rng))
+            draws = self.draws(x.shape[0], rng) if training and cfg.dropout > 0.0 else None
+            rep = _interleave(self.leaves(current, f"stack{s}/b", 1, 0, draws))
             rep = rep if cfg.no_residual else add(rep, current)
             if cfg.no_decoder:
                 pred = slice_time(rep, cfg.look_back - cfg.horizon, cfg.look_back)
@@ -189,15 +214,13 @@ def test_parameters_are_one_slab_per_level_tensor_plus_the_decoder():
     assert w_in.shape == (2, 6, 3, 5)  # level 1: scale_for_odd, then scale_for_even
 
 
-@pytest.mark.parametrize("clip_norm", [0.05, 0.0])
-def test_slab_adam_steps_like_a_per_block_adam(clip_norm):
-    # with the model's parameter_rows as parts, clipping adds the per-block sums of squares in
-    # checkpoint order, as an optimizer over per-block tensors does, so the bits match
+def test_slab_adam_steps_like_a_per_block_adam():
+    # unclipped, Adam is elementwise, so slabs and per-block tensors step to the same bits
     model = build_model(ModelConfig(look_back=16, horizon=4, n_variates=2, levels=3, stacks=2, kernel_size=3,
                                     identity_init=False, seed=5))
     blocks = [_leaf(t.data) for _, t in model.named_parameters()]
-    slab_opt = Adam(model.parameters(), lr=1e-2, clip_norm=clip_norm, parts=model.parameter_rows())
-    block_opt = Adam(blocks, lr=1e-2, clip_norm=clip_norm)
+    slab_opt = Adam(model.parameters(), lr=1e-2)
+    block_opt = Adam(blocks, lr=1e-2)
     rng = np.random.default_rng(1)
     for _ in range(4):
         for p in model.parameters():
@@ -223,3 +246,19 @@ def test_a_training_step_records_a_few_nodes_per_level(levels, stacks, nodes):
     with Tape() as tape:
         compute_loss(model.forward(x, training=True, rng=np.random.default_rng(0)), y)
     assert len(tape.nodes) == nodes
+
+
+@pytest.mark.parametrize("variant", [{}, {"no_interlearn": True}, {"weight_share": True}])
+def test_a_training_forward_advances_the_generator_by_exactly_its_masks(variant):
+    # every later draw, the next epoch's shuffle seed among them, reads the stream where the masks left it
+    cfg = ModelConfig(look_back=48, horizon=24, n_variates=3, levels=4, stacks=2, **variant)
+    hidden, batch = cfg.n_variates * cfg.hidden_ratio, 5
+    total = cfg.stacks * sum(2 * (2 << level) * hidden * (cfg.look_back >> (level + 1)) * batch
+                             for level in range(cfg.levels))
+    assert total == 23040
+    rng = np.random.default_rng(0)
+    x = Tensor(np.random.default_rng(1).normal(size=(batch, cfg.n_variates, cfg.look_back)))
+    build_model(cfg).forward(x, training=True, rng=rng)
+    want = np.random.default_rng(0)
+    want.random(total)
+    assert rng.bit_generator.state == want.bit_generator.state

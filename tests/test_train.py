@@ -198,35 +198,6 @@ class TestFlatAdam:
         npt.assert_array_equal(q.data, [[7.0], [8.0]])
 
 
-class TestClipBySlabRows:
-    # parts as a model gives them: rows of slabs, in any order, among whole parameters
-    @given(
-        shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 160)), min_size=1, max_size=4),
-        wholes=st.lists(st.integers(1, 300), max_size=2),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_clip_has_the_bits_of_one_sum_per_part(self, shapes, wholes, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        params = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
-        params += [Tensor(rng.normal(size=n), requires_grad=True) for n in wholes]
-        pairs = [(p, row) for p in params[:len(shapes)] for row in range(p.shape[0])]
-        parts = data.draw(st.permutations(pairs + [(p, None) for p in params[len(shapes):]]), label="parts")
-        # the per-part form: one parameter per part, each clipped by its own whole sum
-        blocks = [Tensor((p.data if row is None else p.data[row]).copy(), requires_grad=True) for p, row in parts]
-        slab_opt = Adam(params, lr=1e-2, clip_norm=1e-3, parts=parts)
-        block_opt = Adam(blocks, lr=1e-2, clip_norm=1e-3)
-        for _ in range(3):
-            for p in params:
-                p.grad = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=p.shape)
-            for b, (p, row) in zip(blocks, parts):
-                b.grad = (p.grad if row is None else p.grad[row]).copy()
-            slab_opt.step()
-            block_opt.step()
-            for b, (p, row) in zip(blocks, parts):
-                assert b.data.tobytes() == (p.data if row is None else p.data[row]).tobytes()
-
-
 class TestShouldStop:
     def test_empty_history_continues(self):
         assert not should_stop([], 3)
