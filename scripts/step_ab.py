@@ -8,19 +8,23 @@ up for the whole run. Every round feeds each workload shape to the workers in
 turn, the order of the trees rotating from round to round, so slow phases of
 the host fall on every tree alike. A worker times ``predict_windows`` over
 the validation and the test windows, then one ``fit`` epoch (validation
-included) of a freshly built model.
+included) of a freshly built model, and counts the minor page faults
+(``ru_minflt``) of each, since the heap's faults can move a timing more than
+the code does.
 
 The shapes are the benchmark workloads' models: look-back 48, horizon 24,
 batch 32, dropout 0.5 on a 2000-row seeded series split 6:2:2, with
 d / levels / stacks 3 / 4 / 2 (train_narrow), 21 / 3 / 1 (train_wide) and
 7 / 3 / 1 (forecast_cli). The output gives per tree and workload the median
 and quartiles of windows/s over the rounds, each round's ratio of every tree
-to the first one, and the best validation loss each tree reached.
+to the first one, the median minor faults per inferred and per trained
+window, and the best validation loss each tree reached.
 """
 
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -30,6 +34,10 @@ from conv1d_grid import machine
 
 SHAPES = {"train_narrow": (3, 4, 2), "train_wide": (21, 3, 1), "forecast_cli": (7, 3, 1)}
 ROWS, LOOK_BACK, HORIZON, SEED = 2000, 48, 24, 42
+
+
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def worker() -> None:
@@ -46,14 +54,16 @@ def worker() -> None:
     for line in sys.stdin:
         cfg, (train_ds, val_ds, test_ds) = cases[line.strip()]
         net = model.build_model(cfg)
-        t0 = time.perf_counter()
+        faults, t0 = _minflt(), time.perf_counter()
         for ds in (val_ds, test_ds):
             train.predict_windows(net, ds)
-        infer_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
+        infer_s, infer_faults = time.perf_counter() - t0, _minflt() - faults
+        faults, t0 = _minflt(), time.perf_counter()
         result = train.fit(net, train_ds, val_ds, train.TrainConfig(epochs=1, batch_size=32, patience=1, seed=SEED))
-        train_s = time.perf_counter() - t0
-        print(json.dumps({"infer": (len(val_ds) + len(test_ds)) / infer_s, "train": len(train_ds) / train_s,
+        train_s, train_faults = time.perf_counter() - t0, _minflt() - faults
+        inferred = len(val_ds) + len(test_ds)
+        print(json.dumps({"infer": inferred / infer_s, "train": len(train_ds) / train_s,
+                          "infer_faults": infer_faults / inferred, "train_faults": train_faults / len(train_ds),
                           "best_val": repr(float(result.best_val))}), flush=True)
 
 
@@ -92,6 +102,8 @@ def main() -> None:
                 ratios = [run[metric] / base[metric] for run, base in zip(rounds, runs[first][name])]
                 entry[metric + "_windows_per_s"] = {"median": round(med, 1), "q1": round(q1, 1), "q3": round(q3, 1),
                                                     "ratio_to_first": [round(x, 3) for x in ratios]}
+            for metric in ("infer_faults", "train_faults"):
+                entry[metric + "_per_window"] = round(statistics.median(run[metric] for run in rounds), 2)
             entry["best_val"] = sorted({run["best_val"] for run in rounds})
             result[src][name] = entry
     print(json.dumps({"machine": machine(), "rounds": args.rounds, "shapes": SHAPES, "results": result}, indent=1))

@@ -92,18 +92,21 @@ def parse_kv_file(path: str) -> dict[str, str]:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     out: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path} line {lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key in out:
-                raise ConfigError(f"{path} line {lineno}: duplicate key {key!r}")
-            out[key] = value.strip()
+    try:
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path} line {lineno}: expected key=value, got {raw.strip()!r}")
+                key, value = line.split("=", 1)
+                key = key.strip()
+                if key in out:
+                    raise ConfigError(f"{path} line {lineno}: duplicate key {key!r}")
+                out[key] = value.strip()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not {e.encoding} text: it holds byte 0x{e.object[e.start]:02x}") from None
     return out
 
 
@@ -155,11 +158,16 @@ def _assign(cfg: RunConfig, key: str, value: str, source: str):
 
 
 def _check_writable(path: str, parent_made: bool = False) -> None:
-    """Raise now, before any work, the error that writing ``path`` through ``replacing`` would end
-    with: ``path`` is empty or a directory, or its directory is missing (unless the writer makes it)."""
+    """Raise now, before any work, the error that writing ``path`` through ``replacing`` would end with:
+    ``path`` is empty or a directory, an ancestor is a file, or its directory is missing (unless the writer makes it)."""
+    parent = ancestor = os.path.dirname(path) or "."
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor) or "."
     if os.path.isdir(path):
         reason = errno.EISDIR
-    elif not path or not parent_made and not os.path.isdir(os.path.dirname(path) or "."):
+    elif not os.path.isdir(ancestor):
+        reason = errno.ENOTDIR
+    elif not path or not parent_made and ancestor != parent:
         reason = errno.ENOENT
     else:
         return

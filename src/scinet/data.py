@@ -50,29 +50,32 @@ def load_csv(path: str, timestamp_column: str | None = "date") -> TimeSeriesFram
     through the per-row parse instead, which gives the same values or the
     error that names the first bad cell.
     """
-    with open(path, newline="") as fh:
-        header = next(filter(None, csv.reader(fh)), None)  # a blank line is neither a row nor a gap
-        if header is None:
-            raise ConfigError(f"empty csv file: {path}")
-        header = [c.strip() for c in header]
-        if all(_parses_as_float(c) for c in header):
-            raise ConfigError(f"first row of {path} looks numeric; expected a header row")
-        ts_idx = None
-        if timestamp_column is not None:
-            if timestamp_column not in header:
-                raise ConfigError(f"timestamp column {timestamp_column!r} not found in {path}")
-            ts_idx = header.index(timestamp_column)
-        variate_names = [h for i, h in enumerate(header) if i != ts_idx]
-        if not variate_names:
-            raise ConfigError(f"no variate columns in {path}")
-        # NumPy warns on input without rows, so the first data line is looked for here
-        first = next((line for line in fh if line not in ("\n", "\r\n", "\r")), None)
-        if first is None:
-            raise ConfigError(f"no usable data rows in {path}")
-        try:
-            values, stamps = _read_table(chain([first], fh), len(header), ts_idx)
-        except ValueError:
-            values, stamps = _read_rows(path, header, ts_idx)
+    try:
+        with open(path, newline="") as fh:
+            header = next(filter(None, csv.reader(fh)), None)  # a blank line is neither a row nor a gap
+            if header is None:
+                raise ConfigError(f"empty csv file: {path}")
+            header = [c.strip() for c in header]
+            if all(_parses_as_float(c) for c in header):
+                raise ConfigError(f"first row of {path} looks numeric; expected a header row")
+            ts_idx = None
+            if timestamp_column is not None:
+                if timestamp_column not in header:
+                    raise ConfigError(f"timestamp column {timestamp_column!r} not found in {path}")
+                ts_idx = header.index(timestamp_column)
+            variate_names = [h for i, h in enumerate(header) if i != ts_idx]
+            if not variate_names:
+                raise ConfigError(f"no variate columns in {path}")
+            # NumPy warns on input without rows, so the first data line is looked for here
+            first = next((line for line in fh if line not in ("\n", "\r\n", "\r")), None)
+            if first is None:
+                raise ConfigError(f"no usable data rows in {path}")
+            try:
+                values, stamps = _read_table(chain([first], fh), len(header), ts_idx)
+            except ValueError:
+                values, stamps = _read_rows(path, header, ts_idx)
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not {e.encoding} text: it holds byte 0x{e.object[e.start]:02x}") from None
     good = np.isfinite(values).all(axis=1)
     if not good.any():
         raise ConfigError(f"no usable data rows in {path}")

@@ -26,13 +26,11 @@ from .tensor import (
     concat_time,
     exp,
     gather_groups,
-    groups_to_children,
-    halves_to_groups,
     mean_all,
     mul,
+    relayout,
     slice_time,
     sub,
-    ungroup_time,
 )
 
 SIGNS = ("add", "sub")
@@ -109,14 +107,15 @@ def realign(parts: Tensor) -> Tensor:
 
     ``parts`` holds 2^L equal-shape sub-sequences in tree order (even branch
     first at every level) along its leading axis, so leaf i holds the steps
-    whose index mod 2^L is i with its L bits reversed; one interleave
-    restores original time order.
+    whose index mod 2^L is i with its L bits reversed; one relayout moves
+    those bits, as L axes of size 2, after time in reverse order.
     """
-    count = parts.shape[0]
+    count, rest = parts.shape[0], parts.shape[1:]
     if count < 1 or count & (count - 1) != 0:
         raise DimensionError(f"realign needs a power-of-two part count, got {count}")
     bits = count.bit_length() - 1
-    return ungroup_time(parts, [int(f"{j:0{bits}b}"[::-1], 2) for j in range(count)])
+    axes = (*range(bits, bits + len(rest)), *reversed(range(bits)))
+    return relayout(parts, (2,) * bits + rest, axes, rest[:-1] + (rest[-1] * count,))
 
 
 @functools.lru_cache(maxsize=64)
@@ -132,19 +131,20 @@ class SCIBlock:
 
     Level l applies G = 2^(l-1) blocks to disjoint sub-sequences of one length,
     held in the tree's layout as one (G, batch, C, n) tensor (the tree's input,
-    (batch, C, n), is one group). Inside the level the halves are held batch
-    innermost, (2G, C, n/2, batch): the G blocks' even halves, then their odd
-    halves, so every conv1d gathers whole batch rows and makes one GEMM per
-    group. In each block the even half produces a multiplicative scale
-    (through exp) for the odd half and vice versa; each scaled half then
-    receives an additive or subtractive correction computed from the other.
-    ``scale`` is one grouped module over 2G groups holding the G blocks'
-    scale_for_odd modules, then their scale_for_even modules; ``correct``
-    holds correct_odd, then correct_even. Under weight sharing both are the
-    level's G shared modules. ``no_interlearn`` removes the coupling entirely:
-    each half just runs through its own two modules, odd halves first. The
-    output holds the 2G halves in tree order and layout: (2G, batch, C, n/2),
-    child 2g block g's even half and 2g+1 its odd half.
+    (batch, C, n), is one group). One relayout moves them in: inside the level
+    the halves are held batch innermost, (2G, C, n/2, batch), the G blocks'
+    even halves, then their odd halves, so every conv1d gathers whole batch
+    rows and makes one GEMM per group. In each block the even half produces a
+    multiplicative scale (through exp) for the odd half and vice versa; each
+    scaled half then receives an additive or subtractive correction computed
+    from the other. ``scale`` is one grouped module over 2G groups holding the
+    G blocks' scale_for_odd modules, then their scale_for_even modules;
+    ``correct`` holds correct_odd, then correct_even. Under weight sharing
+    both are the level's G shared modules. ``no_interlearn`` removes the
+    coupling entirely: each half just runs through its own two modules, so
+    the tree stacks the ``*_even`` rows first there. A second relayout moves
+    the halves out in tree order and layout: (2G, batch, C, n/2), child 2g
+    block g's even half and 2g+1 its odd half.
     """
 
     def __init__(self, scale: InteractionModule, correct: InteractionModule, sign: str, no_interlearn: bool):
@@ -154,17 +154,20 @@ class SCIBlock:
         self.no_interlearn = no_interlearn
 
     def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        halves = halves_to_groups(x, swapped=self.no_interlearn)
-        if self.no_interlearn:  # [scale_for_odd(odd); scale_for_even(even)], then the corrections
+        if x.data.ndim not in (3, 4) or x.shape[-1] % 2:
+            raise DimensionError(f"SCIBlock: needs (groups, batch, channels, even time length), got {x.shape}")
+        groups, (batch, ch, n) = (1 if x.data.ndim == 3 else x.shape[0]), x.shape[-3:]
+        halves = relayout(x, (groups, batch, ch, n // 2, 2), (4, 0, 2, 3, 1), (2 * groups, ch, n // 2, batch))
+        if self.no_interlearn:  # [scale_for_even(even); scale_for_odd(odd)], then the corrections likewise
             new = self.correct.forward(self.scale.forward(halves, training, rng), training, rng)
-            return groups_to_children(new, swapped=True)
-        swap = _swap(halves.shape[0] // 2)
-        # [scale_for_odd(even); scale_for_even(odd)], swapped to pair each scale with its half
-        scaled = mul(halves, exp(gather_groups((self.scale.forward(halves, training, rng),), swap)))
-        # [correct_odd(scaled_even); correct_even(scaled_odd)], swapped likewise
-        corrections = gather_groups((self.correct.forward(scaled, training, rng),), swap)
-        new = add(scaled, corrections) if self.sign == "add" else sub(scaled, corrections)
-        return groups_to_children(new)
+        else:
+            swap = _swap(groups)
+            # [scale_for_odd(even); scale_for_even(odd)]; the swap pairs each scale with its half
+            scaled = mul(halves, exp(gather_groups((self.scale.forward(halves, training, rng),), swap)))
+            # [correct_odd(scaled_even); correct_even(scaled_odd)], paired by the swap likewise
+            corrections = gather_groups((self.correct.forward(scaled, training, rng),), swap)
+            new = add(scaled, corrections) if self.sign == "add" else sub(scaled, corrections)
+        return relayout(new, (2, groups, ch, n // 2, batch), (1, 0, 4, 2, 3), (2 * groups, batch, ch, n // 2))
 
 
 class _TreeNode:
@@ -212,11 +215,13 @@ class SCINetTree:
     Each level is one ``_TreeNode`` whose ``SCIBlock`` runs all the level's
     blocks at once, so a level's weights are grouped tensors (slabs) with one
     row per block and role. Weights are drawn block by block, depth-first,
-    then stacked into the slabs. ``named_rows`` gives each block tensor's
-    name (``stack0/beo/scale_for_odd/w_in``), slab and row, blocks in
-    depth-first order: the checkpoint's order. A training forward draws its
-    dropout masks level by level, as the grouped calls ask for them: the
-    scale call's (2G, hidden, n, batch) mask, then the correction call's.
+    then stacked into the slabs, ``*_odd`` rows first (``*_even`` first under
+    ``no_interlearn``, so each module meets its own half). ``named_rows``
+    gives each block tensor's name (``stack0/beo/scale_for_odd/w_in``), slab
+    and row, blocks in depth-first order: the checkpoint's order. A training
+    forward draws its dropout masks level by level, as the grouped calls ask
+    for them: the scale call's (2G, hidden, n, batch) mask, then the
+    correction call's.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator, name: str):
@@ -231,14 +236,15 @@ class SCINetTree:
             ]
             for level, g in _depth_first(cfg.levels)
         }
+        first, second = (1, 0) if cfg.no_interlearn else (0, 1)
         blocks = []
         for level in range(1, cfg.levels + 1):
             mods = [drawn[level, g] for g in range(1 << (level - 1))]
             if cfg.weight_share:
                 scale = correct = InteractionModule.stacked([m[0] for m in mods])
             else:
-                scale = InteractionModule.stacked([m[0] for m in mods] + [m[1] for m in mods])
-                correct = InteractionModule.stacked([m[2] for m in mods] + [m[3] for m in mods])
+                scale = InteractionModule.stacked([m[first] for m in mods] + [m[second] for m in mods])
+                correct = InteractionModule.stacked([m[2 + first] for m in mods] + [m[2 + second] for m in mods])
             blocks.append(SCIBlock(scale, correct, cfg.sign, cfg.no_interlearn))
         self.root = None
         for block in reversed(blocks):
@@ -247,8 +253,8 @@ class SCINetTree:
         for level, g in drawn:
             block, groups = blocks[level - 1], 1 << (level - 1)
             path = "b" + "".join("eo"[(g >> bit) & 1] for bit in reversed(range(level - 1)))
-            places = ((block.scale, g),) if cfg.weight_share else (
-                (block.scale, g), (block.scale, groups + g), (block.correct, g), (block.correct, groups + g))
+            places = ((block.scale, g),) if cfg.weight_share else [
+                (slab, half * groups + g) for slab in (block.scale, block.correct) for half in (first, second)]
             for role, (module, row) in zip(roles, places):
                 self.named_rows.extend((f"{name}/{path}/{role}/{p}", getattr(module, p), row) for p in module.PARAMS)
         if config.no_decoder:

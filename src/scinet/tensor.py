@@ -384,23 +384,6 @@ def interleave_time(*parts: Tensor) -> Tensor:
     return _emit(out, parts, rule)
 
 
-def ungroup_time(x: Tensor, order: Sequence[int]) -> Tensor:
-    """Merge the leading axis of x (k, ..., m) into its last: out[..., t*k + j] = x[order[j], ..., t].
-
-    ``order`` is a permutation of range(k); with the identity this is ``interleave_time`` of x's rows.
-    """
-    xd = x.data
-    k = xd.shape[0]
-    out = np.moveaxis(xd, 0, -1)[..., order].reshape(xd.shape[1:-1] + (-1,))
-
-    def rule(g):
-        gx = np.empty_like(xd)
-        gx[order] = np.moveaxis(g.reshape(xd.shape[1:] + (k,)), -1, 0)
-        return (gx,)
-
-    return _emit(out, (x,), rule)
-
-
 def gather_groups(parts: Sequence[Tensor], order: Sequence[int] | None = None) -> Tensor:
     """Concatenate ``parts`` along their leading (group) axis, then put its rows in ``order``.
 
@@ -423,40 +406,16 @@ def gather_groups(parts: Sequence[Tensor], order: Sequence[int] | None = None) -
     return _emit(out, tuple(parts), rule)
 
 
-def halves_to_groups(x: Tensor, swapped: bool = False) -> Tensor:
-    """Split the time axis of x (G, batch, C, n) into its even and odd halves, stacked on the group axis
-    with batch moved innermost: out (2G, C, n/2, batch), out[h*G + g, c, t, b] = x[g, b, c, 2t + h].
-
-    ``swapped`` puts the odd halves first. A 3-d x, (batch, C, n), is one group.
-    """
-    xd = x.data
-    xg = xd[None] if xd.ndim == 3 else xd
-    if xg.ndim != 4 or xg.shape[-1] % 2:
-        raise DimensionError(f"halves_to_groups: needs (groups, batch, channels, even time length), got {xd.shape}")
-    groups, batch, ch, n = xg.shape
-    step = -1 if swapped else 1
-    out = xg.reshape(groups, batch, ch, n // 2, 2)[..., ::step].transpose(4, 0, 2, 3, 1)
+def relayout(x: Tensor, split: Sequence[int], axes: Sequence[int], shape: Sequence[int]) -> Tensor:
+    """``x.data.reshape(split).transpose(axes).reshape(shape)`` as a fresh array, never a view of x's data
+    (not even for identity ``axes``). The rule moves the gradient back through the inverse permutation."""
+    moved = x.data.reshape(split).transpose(axes)
+    moved_shape, back, x_shape = moved.shape, np.argsort(axes), x.data.shape
 
     def rule(g):
-        return (g.reshape(2, groups, ch, n // 2, batch)[::step].transpose(1, 4, 2, 3, 0).reshape(xd.shape),)
+        return (g.reshape(moved_shape).transpose(back).reshape(x_shape),)
 
-    return _emit(out.reshape(2 * groups, ch, n // 2, batch), (x,), rule)
-
-
-def groups_to_children(x: Tensor, swapped: bool = False) -> Tensor:
-    """Inverse layout of ``halves_to_groups``: x (2G, C, m, batch), the G even halves then the G odd halves
-    (odd first if ``swapped``), becomes (2G, batch, C, m) with row 2g + h holding group g's half h."""
-    xd = x.data
-    if xd.ndim != 4 or xd.shape[0] % 2:
-        raise DimensionError(f"groups_to_children: needs (2 * groups, channels, time, batch), got {xd.shape}")
-    halves, ch, m, batch = xd.shape
-    step = -1 if swapped else 1
-    out = xd.reshape(2, halves // 2, ch, m, batch)[::step].transpose(1, 0, 4, 2, 3).reshape(halves, batch, ch, m)
-
-    def rule(g):
-        return (g.reshape(halves // 2, 2, batch, ch, m).transpose(1, 0, 3, 4, 2)[::step].reshape(xd.shape),)
-
-    return _emit(out, (x,), rule)
+    return _emit(moved.copy().reshape(shape), (x,), rule)  # copy() is in C order, so the reshape is a view of it
 
 
 def concat_time(a: Tensor, b: Tensor) -> Tensor:

@@ -447,18 +447,21 @@ def test_unwritable_output_fails_before_the_work(trained, tmp_path, capsys, monk
     def never(*args, **kwargs):
         raise AssertionError("the work ran before the output path was checked")
 
-    for name in ("load_checkpoint", "predict_windows", "fit"):
+    for name in ("load_checkpoint", "predict_windows", "fit", "_load_frame"):
         monkeypatch.setattr(cli, name, never)
+    afile = tmp_path / "afile"  # a regular file where a directory is wanted
+    afile.write_text("")
     for flag, command in (("--out", "eval"), ("--emit", "predict")):
         for out, reason in ((tmp_path / "nodir" / "o", "No such file or directory"), (tmp_path, "Is a directory"),
-                            ("", "No such file or directory")):
+                            ("", "No such file or directory"), (afile / "o", "Not a directory")):
             assert main([command, str(trained.ckpt), str(trained.data), flag, str(out)]) == 1
             assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
-    for ckpt, reason in ((tmp_path, "Is a directory"), ("", "No such file or directory")):
+    for ckpt, reason in ((tmp_path, "Is a directory"), ("", "No such file or directory"),
+                         (afile / "m.ckpt", "Not a directory"), (afile / "sub" / "m.ckpt", "Not a directory")):
         cfg = write_config(tmp_path / "r.cfg", trained.data, ckpt)
         assert main(["train", str(cfg)]) == 1
         assert capsys.readouterr() == ("", f"error: cannot write {ckpt}: {reason}\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["r.cfg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "r.cfg"]
 
 
 def test_train_makes_the_checkpoint_directory(trained, tmp_path):
@@ -603,6 +606,28 @@ def test_csv_with_another_variate_count_exits_2(trained, tmp_path, capsys, comma
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "2 variates" in captured.err and "has 3" in captured.err
+
+
+@pytest.mark.parametrize("command", ["pe", "pe --checkpoint", "eval", "predict", "train"])
+def test_a_byte_that_is_not_utf8_exits_2_naming_the_file(trained, tmp_path, capsys, command):
+    text = trained.data.read_bytes()
+    bad_csv = tmp_path / "bad.csv"
+    at = text.index(b"\n", text.index(b"\n", len(text) // 2) + 1) + 25  # inside a cell of a middle row
+    bad_csv.write_bytes(text[:at] + b"\xe9" + text[at + 1:])
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_bytes(write_config(tmp_path / "r.cfg", trained.data, tmp_path / "m.ckpt").read_bytes()
+                        + b"split=ratio:6,2,2\xe9\n")
+    argv = {
+        "pe": ["pe", str(bad_csv)],
+        "pe --checkpoint": ["pe", str(bad_csv), "--checkpoint", str(trained.ckpt), "--order", "3"],
+        "eval": ["eval", str(trained.ckpt), str(bad_csv), "--out", str(tmp_path / "r.txt")],
+        "predict": ["predict", str(trained.ckpt), str(bad_csv), "--emit", str(tmp_path / "p.csv")],
+        "train": ["train", str(bad_cfg)],
+    }[command]
+    bad = bad_cfg if command == "train" else bad_csv
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {bad} is not utf-8 text: it holds byte 0xe9\n")
+
 
 class TestAblateCommand:
     def test_smoke_and_verdict_line(self, tmp_path, capsys):

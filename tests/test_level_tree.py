@@ -96,9 +96,9 @@ class ReferenceNet:
 
         def run(role, h):
             rng = None
-            if draws is not None:  # scale_for_odd reads row g of the scale draws, scale_for_even row G + g
+            if draws is not None:  # *_odd roles read row g of the call's draws, *_even row G + g (reversed under no_interlearn)
                 level = draws[0] if role.startswith("scale") else draws[1]
-                rng = _Drawn(level[g if role.endswith("odd") else len(level) // 2 + g].transpose(2, 0, 1))
+                rng = _Drawn(level[g if role.endswith("even" if cfg.no_interlearn else "odd") else len(level) // 2 + g].transpose(2, 0, 1))
             return self.module(f"{prefix}/{'shared' if cfg.weight_share else role}", h, draws is not None, rng)
 
         even, odd = split_even_odd(x)

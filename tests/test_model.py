@@ -175,9 +175,9 @@ class TestSCIBlock:
 
     def test_no_interlearn_runs_chains_per_half(self):
         # decoupled wiring: odd half -> scale_for_odd -> correct_odd, with no
-        # exp and no cross terms
+        # exp and no cross terms; the stand-ins' groups are (*_even, *_odd) here
         block = SCIBlock(
-            _FnStub(lambda a: a + 1.0, lambda a: a * 3.0), _FnStub(lambda a: a * 2.0, lambda a: a - 1.0),
+            _FnStub(lambda a: a * 3.0, lambda a: a + 1.0), _FnStub(lambda a: a - 1.0, lambda a: a * 2.0),
             sign="add", no_interlearn=True,
         )
         x = Tensor(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
@@ -185,6 +185,13 @@ class TestSCIBlock:
         # odd = [2, 4]: (odd + 1) * 2 = [6, 10]; even = [1, 3]: 3*even - 1 = [2, 8]
         npt.assert_allclose(odd, [[[6.0, 10.0]]])
         npt.assert_allclose(even, [[[2.0, 8.0]]])
+
+    def test_odd_time_length_is_rejected(self):
+        block = SCIBlock(_ConstStub(0.0, 0.0), _ConstStub(0.0, 0.0), sign="add", no_interlearn=False)
+        with pytest.raises(DimensionError, match="even time length"):
+            block.forward(Tensor(np.zeros((1, 1, 5))))
+        with pytest.raises(DimensionError, match="even time length"):  # a grouped level input
+            block.forward(Tensor(np.zeros((2, 1, 1, 3))))
 
     def test_identity_init_block_is_identity(self):
         model = build_model(config(levels=1))

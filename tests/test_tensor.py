@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,13 +19,12 @@ from scinet.tensor import (
     exp,
     finite_diff_check,
     gather_groups,
-    groups_to_children,
-    halves_to_groups,
     interleave_time,
     leaky_relu,
     linear,
     mean_all,
     mul,
+    relayout,
     slice_time,
     sub,
     sum_all,
@@ -32,6 +33,18 @@ from scinet.tensor import (
 )
 from scinet import tensor as tensor_module
 from scinet.model import realign
+
+
+@st.composite
+def _relayouts(draw):
+    """(split, axes, x's shape, output shape): 1-5 split dims, a permutation of them, and each side's dims
+    merged at a drawn cut."""
+    split = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=5)))
+    axes = tuple(draw(st.permutations(range(len(split)))))
+    moved = tuple(split[a] for a in axes)
+    cut_in, cut_out = draw(st.integers(0, len(split))), draw(st.integers(0, len(split)))
+    return (split, axes, (math.prod(split[:cut_in]), math.prod(split[cut_in:])),
+            (math.prod(moved[:cut_out]), math.prod(moved[cut_out:])))
 
 
 def leaf(arr, requires_grad=True):
@@ -579,37 +592,26 @@ class TestGroupedOps:
         with pytest.raises(DimensionError, match="groups"):  # a (batch, channels, time) input
             conv1d(leaf(np.zeros((2, 3, 4))), leaf(np.zeros((1, 2, 3, 3))), leaf(np.zeros((1, 2))))
 
-    @given(
-        groups=st.integers(1, 3), batch=st.integers(1, 3), ch=st.integers(1, 3), half=st.integers(1, 3),
-        grouped=st.booleans(), swapped=st.booleans(), seed=st.integers(0, 1000),
-    )
-    @settings(max_examples=30, deadline=None)
-    # a finite-difference check of these gradients reads 1.5e-6 here from rounding alone
-    @example(groups=1, batch=1, ch=3, half=3, grouped=False, swapped=True, seed=475)
-    def test_level_layout_ops_values_and_gradients(self, groups, batch, ch, half, grouped, swapped, seed):
+    @given(layout=_relayouts(), seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    @example(layout=((2, 3), (0, 1), (6,), (3, 2)), seed=0)  # identity axes: the output must still be a copy
+    def test_relayout_values_and_gradient(self, layout, seed):
+        split, axes, x_shape, shape = layout
         rng = np.random.default_rng(seed)
-        x = leaf(rng.normal(size=(groups, batch, ch, 2 * half) if grouped else (batch, ch, 2 * half)))
-        xg = x.data if grouped else x.data[None]
-        even, odd = xg[..., 0::2], xg[..., 1::2]
-        first, second = (odd, even) if swapped else (even, odd)
-        halves = halves_to_groups(x, swapped)
-        npt.assert_array_equal(halves.data, np.concatenate([first, second]).transpose(0, 2, 3, 1))
-        children = groups_to_children(halves, swapped)
-        npt.assert_array_equal(children.data, np.stack([even, odd], axis=1).reshape(-1, batch, ch, half))
-        # both ops are permutations, so each gradient is its probe moved back exactly
-        h = leaf(halves.data)
-        probe = rng.normal(size=halves.shape)
-        child_probe = rng.normal(size=children.shape)
+        x = leaf(rng.normal(size=x_shape))
+        out = relayout(x, split, axes, shape)
+        npt.assert_array_equal(out.data, x.data.reshape(split).transpose(axes).reshape(shape))
+        assert out.data.flags["C_CONTIGUOUS"] and not np.shares_memory(out.data, x.data)
+        # a pure move, so the gradient is the probe moved back exactly: out's element k came from x's
+        # element at flat index source[k]
+        source = np.arange(x.size).reshape(split).transpose(axes).ravel()
+        probe = rng.normal(size=out.shape)
         with Tape() as tape:
-            loss = add(sum_all(mul(halves_to_groups(x, swapped), Tensor(probe))),
-                       sum_all(mul(groups_to_children(h, swapped), Tensor(child_probe))))
+            loss = sum_all(mul(relayout(x, split, axes, shape), Tensor(probe)))
         backward(loss, tape)
-        pf, ps = np.split(probe.transpose(0, 3, 1, 2), 2)
-        gx = np.empty_like(xg)
-        gx[..., 0::2], gx[..., 1::2] = (ps, pf) if swapped else (pf, ps)
-        npt.assert_array_equal(x.grad, gx if grouped else gx[0])
-        ce, co = child_probe.reshape(-1, 2, batch, ch, half).swapaxes(0, 1)
-        npt.assert_array_equal(h.grad, np.concatenate((co, ce) if swapped else (ce, co)).transpose(0, 2, 3, 1))
+        expected = np.empty(x.size)
+        expected[source] = probe.ravel()
+        npt.assert_array_equal(x.grad, expected.reshape(x_shape))
 
     def test_gather_groups_values_and_gradient(self):
         rng = np.random.default_rng(0)
