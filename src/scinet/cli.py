@@ -93,7 +93,7 @@ def parse_kv_file(path: str) -> dict[str, str]:
         raise ConfigError(f"config file not found: {path}")
     out: dict[str, str] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -353,6 +353,7 @@ def cmd_ablate(args, overrides: dict[str, str]) -> int:
     if not base_cfg.data_path:
         raise ConfigError("data_path is required for ablation")
     variant_cfg = replace(base_cfg, **{args.variant: True})
+    variant_cfg.model_config(1).validate()  # before the base fit; no check reads the data's variate count
     rows = []
     for label, cfg in (("base", base_cfg), (args.variant, variant_cfg)):
         frame, stats, model, result, (train_ds, val_ds, test_ds) = _train_once(cfg)

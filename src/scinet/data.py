@@ -51,7 +51,7 @@ def load_csv(path: str, timestamp_column: str | None = "date") -> TimeSeriesFram
     error that names the first bad cell.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(filter(None, csv.reader(fh)), None)  # a blank line is neither a row nor a gap
             if header is None:
                 raise ConfigError(f"empty csv file: {path}")
@@ -105,7 +105,7 @@ def _read_table(lines, n_columns: int, ts_idx: int | None):
 
 def _read_rows(path: str, header: list[str], ts_idx: int | None):
     """``_read_table`` one row at a time with ``csv`` and ``float()``, raising on the first bad row or cell."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [r for r in csv.reader(fh) if r][1:]
     values, stamps = [], []
     for r, row in enumerate(rows, start=2):
@@ -129,7 +129,7 @@ def _read_rows(path: str, header: list[str], ts_idx: int | None):
 
 def _file_line(path: str, row: int) -> int:
     """The file line of the ``row``-th non-blank csv row (the header is row 1), counting blank lines."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for count, _ in enumerate(filter(None, reader), start=1):
             if count == row:

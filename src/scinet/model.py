@@ -214,48 +214,40 @@ class SCINetTree:
 
     Each level is one ``_TreeNode`` whose ``SCIBlock`` runs all the level's
     blocks at once, so a level's weights are grouped tensors (slabs) with one
-    row per block and role. Weights are drawn block by block, depth-first,
-    then stacked into the slabs, ``*_odd`` rows first (``*_even`` first under
-    ``no_interlearn``, so each module meets its own half). ``named_rows``
-    gives each block tensor's name (``stack0/beo/scale_for_odd/w_in``), slab
-    and row, blocks in depth-first order: the checkpoint's order. A training
-    forward draws its dropout masks level by level, as the grouped calls ask
-    for them: the scale call's (2G, hidden, n, batch) mask, then the
-    correction call's.
+    row per block and role, ``*_odd`` rows first (``*_even`` first under
+    ``no_interlearn``, so each module meets its own half). One depth-first
+    pass over the blocks draws each role's row straight into its slab and
+    records in ``named_rows`` its tensors' names
+    (``stack0/beo/scale_for_odd/w_in``), slab and row: the draw order is the
+    checkpoint's order. A training forward draws its dropout masks level by
+    level, as the grouped calls ask for them: the scale call's (2G, hidden,
+    n, batch) mask, then the correction call's.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator, name: str):
         cfg = self.config = config
         identity = cfg.identity_init and not cfg.no_interlearn
         roles = ("shared",) if cfg.weight_share else ROLES
-        drawn = {  # the modules of a block first, then the even subtree, then the odd subtree
-            (level, g): [
-                InteractionModule(cfg.n_variates, cfg.hidden_ratio, cfg.kernel_size, cfg.leaky_slope,
-                                  cfg.dropout, rng, identity_init=identity)
-                for _ in roles
-            ]
-            for level, g in _depth_first(cfg.levels)
-        }
-        first, second = (1, 0) if cfg.no_interlearn else (0, 1)
+        slab = functools.partial(InteractionModule, cfg.n_variates, cfg.hidden_ratio, cfg.kernel_size,
+                                 cfg.leaky_slope, cfg.dropout)
         blocks = []
         for level in range(1, cfg.levels + 1):
-            mods = [drawn[level, g] for g in range(1 << (level - 1))]
-            if cfg.weight_share:
-                scale = correct = InteractionModule.stacked([m[0] for m in mods])
-            else:
-                scale = InteractionModule.stacked([m[first] for m in mods] + [m[second] for m in mods])
-                correct = InteractionModule.stacked([m[2 + first] for m in mods] + [m[2 + second] for m in mods])
+            groups = 1 << (level - 1)
+            scale = slab(groups if cfg.weight_share else 2 * groups)
+            correct = scale if cfg.weight_share else slab(2 * groups)
             blocks.append(SCIBlock(scale, correct, cfg.sign, cfg.no_interlearn))
         self.root = None
         for block in reversed(blocks):
             self.root = _TreeNode(block, self.root)
+        first, second = (1, 0) if cfg.no_interlearn else (0, 1)
         self.named_rows: list[tuple[str, Tensor, int | None]] = []  # name, tensor or slab, slab row
-        for level, g in drawn:
+        for level, g in _depth_first(cfg.levels):  # each row is drawn as it is named: the checkpoint's order
             block, groups = blocks[level - 1], 1 << (level - 1)
             path = "b" + "".join("eo"[(g >> bit) & 1] for bit in reversed(range(level - 1)))
             places = ((block.scale, g),) if cfg.weight_share else [
-                (slab, half * groups + g) for slab in (block.scale, block.correct) for half in (first, second)]
+                (module, half * groups + g) for module in (block.scale, block.correct) for half in (first, second)]
             for role, (module, row) in zip(roles, places):
+                module.draw(row, rng, identity)
                 self.named_rows.extend((f"{name}/{path}/{role}/{p}", getattr(module, p), row) for p in module.PARAMS)
         if config.no_decoder:
             self.decoder = None

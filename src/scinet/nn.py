@@ -45,29 +45,17 @@ class InteractionModule:
     """Shape-preserving map: conv(k) -> leaky_relu -> dropout -> conv(k) -> tanh.
 
     Channel counts run d -> hidden_ratio*d -> d, so the output has exactly the
-    input's shape and lies in (-1, 1). With ``identity_init`` the closing conv
-    starts all-zero, making the whole module the zero map at initialisation;
-    the opening conv is Kaiming-uniform matched to the leaky-relu slope.
-
-    A module is one group: each of its four tensors has a leading group axis
-    of length 1, and it maps (groups, d, time, batch), batch innermost.
-    ``stacked`` joins several modules into one grouped module along that axis,
-    which maps a tree level's halves with group g run by the g-th module's
-    weights.
+    input's shape and lies in (-1, 1). The module is ``groups`` such maps, one
+    per row of its four weight tensors (slabs), and maps (groups, d, time,
+    batch), batch innermost, with group g run by row g's weights; a tree level
+    holds its blocks' modules as the rows of one module. The slabs start
+    zeroed, and ``draw`` fills one row.
     """
 
     PARAMS = ("w_in", "b_in", "w_out", "b_out")
 
-    def __init__(
-        self,
-        channels: int,
-        hidden_ratio: int,
-        kernel_size: int,
-        leaky_slope: float,
-        dropout_p: float,
-        rng: np.random.Generator,
-        identity_init: bool = True,
-    ):
+    def __init__(self, channels: int, hidden_ratio: int, kernel_size: int, leaky_slope: float, dropout_p: float,
+                 groups: int = 1):
         if channels < 1 or hidden_ratio < 1:
             raise ConfigError(f"channels and hidden_ratio must be positive, got {channels}, {hidden_ratio}")
         if kernel_size < 1 or kernel_size % 2 == 0:
@@ -78,25 +66,19 @@ class InteractionModule:
         self.channels = channels
         self.leaky_slope = leaky_slope
         self.dropout_p = dropout_p
-        gain = leaky_relu_gain(leaky_slope)
-        # uniform draws and zeros are finite, so the tensors skip the finite scan
-        self.w_in = Tensor._wrap(_kaiming_uniform(rng, (hidden, channels, kernel_size), gain)[None], True)
-        self.b_in = Tensor._wrap(np.zeros((1, hidden)), True)
-        if identity_init:
-            self.w_out = Tensor._wrap(np.zeros((1, channels, hidden, kernel_size)), True)
-        else:
-            self.w_out = Tensor._wrap(_kaiming_uniform(rng, (channels, hidden, kernel_size), 1.0)[None], True)
-        self.b_out = Tensor._wrap(np.zeros((1, channels)), True)
+        # zeros are finite, so the tensors skip the finite scan
+        self.w_in = Tensor._wrap(np.zeros((groups, hidden, channels, kernel_size)), True)
+        self.b_in = Tensor._wrap(np.zeros((groups, hidden)), True)
+        self.w_out = Tensor._wrap(np.zeros((groups, channels, hidden, kernel_size)), True)
+        self.b_out = Tensor._wrap(np.zeros((groups, channels)), True)
 
-    @classmethod
-    def stacked(cls, modules: list["InteractionModule"]) -> "InteractionModule":
-        """One grouped module whose group g holds a copy of ``modules[g]``'s weights."""
-        grouped = object.__new__(cls)
-        first = modules[0]
-        grouped.channels, grouped.leaky_slope, grouped.dropout_p = first.channels, first.leaky_slope, first.dropout_p
-        for name in cls.PARAMS:
-            setattr(grouped, name, Tensor._wrap(np.concatenate([getattr(m, name).data for m in modules]), True))
-        return grouped
+    def draw(self, group: int, rng: np.random.Generator, identity_init: bool = True) -> None:
+        """Draw row ``group``: the opening conv Kaiming-uniform matched to the leaky-relu slope, then,
+        unless ``identity_init``, the closing conv with gain 1. With ``identity_init`` the closing conv
+        stays all-zero, making that group the zero map at initialisation."""
+        self.w_in.data[group] = _kaiming_uniform(rng, self.w_in.shape[1:], leaky_relu_gain(self.leaky_slope))
+        if not identity_init:
+            self.w_out.data[group] = _kaiming_uniform(rng, self.w_out.shape[1:], 1.0)
 
     def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         """A grouped module given r times its group count (one block's weights filling r roles)

@@ -123,10 +123,8 @@ def test_a1_gradients_match_finite_differences(record_criterion):
     lp = Tensor(rng.normal(size=(2, 3, 4)))
     worst["linear"] = finite_diff_check(lambda: sum_all(mul(linear(lx, lw, lb), lp)), [lx, lw, lb])
 
-    module = InteractionModule(
-        channels=2, hidden_ratio=2, kernel_size=3, leaky_slope=0.01,
-        dropout_p=0.0, rng=np.random.default_rng(1), identity_init=False,
-    )
+    module = InteractionModule(channels=2, hidden_ratio=2, kernel_size=3, leaky_slope=0.01, dropout_p=0.0)
+    module.draw(0, np.random.default_rng(1), identity_init=False)
     mx = Tensor(rng.normal(size=(1, 2, 6, 2)), requires_grad=True)
     mp = Tensor(rng.normal(size=(1, 2, 6, 2)))
     m_params = [p for _, p in module.named_parameters("m")] + [mx]
@@ -134,16 +132,13 @@ def test_a1_gradients_match_finite_differences(record_criterion):
         lambda: sum_all(mul(module.forward(mx), mp)), m_params
     )
 
-    mods = [
-        InteractionModule(
-            channels=2, hidden_ratio=1, kernel_size=3, leaky_slope=0.01,
-            dropout_p=0.0, rng=np.random.default_rng(10 + k), identity_init=False,
-        )
-        for k in range(4)
-    ]
     # one block: (scale_for_odd, scale_for_even) and (correct_odd, correct_even) as grouped modules
-    block = SCIBlock(InteractionModule.stacked(mods[:2]), InteractionModule.stacked(mods[2:]),
-                     sign="add", no_interlearn=False)
+    scale, correct = (InteractionModule(channels=2, hidden_ratio=1, kernel_size=3, leaky_slope=0.01,
+                                        dropout_p=0.0, groups=2) for _ in range(2))
+    for row in range(2):
+        scale.draw(row, np.random.default_rng(10 + row), identity_init=False)
+        correct.draw(row, np.random.default_rng(12 + row), identity_init=False)
+    block = SCIBlock(scale, correct, sign="add", no_interlearn=False)
     bx = Tensor(rng.normal(size=(2, 2, 8)), requires_grad=True)
     pe_probe = Tensor(rng.normal(size=(2, 2, 4)))
     po_probe = Tensor(rng.normal(size=(2, 2, 4)))

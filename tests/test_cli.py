@@ -81,6 +81,11 @@ class TestParseKvFile:
         with pytest.raises(ConfigError, match="not found"):
             parse_kv_file(tmp_path / "absent.cfg")
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"\xef\xbb\xbfdata_path=d.csv\nseed=5\n")  # as a spreadsheet's "UTF-8" export starts
+        assert parse_kv_file(p) == {"data_path": "d.csv", "seed": "5"}
+
 
 class TestParseOverrides:
     def test_space_separated(self):
@@ -642,6 +647,19 @@ class TestAblateCommand:
         assert "val_mse_base=" in out and "val_mse_variant=" in out
         verdict = [l for l in out.splitlines() if l.startswith("base_beats_variant=")]
         assert verdict and verdict[0].split("=")[1] in ("true", "false")
+
+    def test_an_invalid_variant_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a model was fitted before the variant was checked")
+
+        monkeypatch.setattr(cli, "fit", never)
+        data = tmp_path / "d.csv"
+        write_dataset(data)
+        cfg = write_config(tmp_path / "r.cfg", data, tmp_path / "m.ckpt", look_back=16, horizon=24)
+        assert main(["ablate", str(cfg), "--variant", "no_decoder"]) == 2
+        captured = capsys.readouterr()
+        assert "base:" not in captured.out
+        assert captured.err == "error: without a decoder the horizon cannot exceed look_back (24 > 16)\n"
 
     def test_unknown_variant_rejected_by_parser(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "r.cfg", tmp_path / "d.csv", tmp_path / "m.ckpt")

@@ -40,6 +40,16 @@ class TestLoadCsv:
         npt.assert_array_equal(frame.values, [[1.0, 2.0], [3.0, 4.0]])
         assert frame.rejected_rows == 0
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheets' "CSV UTF-8" exports start with one; this file also takes the per-row parse (1_000)
+        # and names the line of its dropped row, the two other reads of the file
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfdate,u\nt0,1.0\n\nt1,nan\nt2,1_000\n")
+        frame = load_csv(p)
+        assert frame.variate_names == ["u"] and frame.timestamps == ["t0", "t2"]
+        assert frame.values.tolist() == [[1.0], [1000.0]]
+        assert frame.first_rejected_line == 4
+
     def test_missing_header_detected(self, tmp_path):
         # a first row of pure numbers means the header is missing
         p = tmp_path / "h.csv"

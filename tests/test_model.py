@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scinet.errors import ConfigError, DimensionError
+from scinet.nn import kaiming_uniform_bound, leaky_relu_gain
 from scinet.model import (
     ModelConfig,
     SCIBlock,
@@ -265,6 +266,45 @@ class TestTree:
         a = build_model(config(seed=11, identity_init=False)).forward(x)[0]
         b = build_model(config(seed=11, identity_init=False)).forward(x)[0]
         npt.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("identity_init", [True, False])
+    @pytest.mark.parametrize("variant", ["default", "no_interlearn", "weight_share", "no_decoder"])
+    @pytest.mark.parametrize("stacks", [1, 2])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_weights_are_drawn_in_checkpoint_order(self, levels, stacks, variant, identity_init):
+        flags = {} if variant == "default" else {variant: True}
+        cfg = config(look_back=16, levels=levels, stacks=stacks, identity_init=identity_init, seed=5, **flags)
+        d, hidden, k = cfg.n_variates, cfg.n_variates * cfg.hidden_ratio, cfg.kernel_size
+        rng, want = np.random.default_rng(5), []
+        zero_map = identity_init and variant != "no_interlearn"  # the closing conv starts at zero, undrawn
+
+        def uniform(bound, shape):
+            return rng.uniform(-bound, bound, size=shape)
+
+        def paths(path, level):  # a block, then its even subtree, then its odd subtree
+            yield path
+            if level < levels:
+                yield from paths(path + "e", level + 1)
+                yield from paths(path + "o", level + 1)
+
+        roles = ["shared"] if variant == "weight_share" else ["scale_for_odd", "scale_for_even", "correct_odd",
+                                                              "correct_even"]
+        for stack in range(stacks):
+            for path in paths("b", 1):
+                for role in roles:
+                    prefix = f"stack{stack}/{path}/{role}"
+                    w_in = uniform(kaiming_uniform_bound(d * k, leaky_relu_gain(cfg.leaky_slope)), (hidden, d, k))
+                    w_out = np.zeros((d, hidden, k)) if zero_map else uniform(kaiming_uniform_bound(hidden * k, 1.0),
+                                                                                (d, hidden, k))
+                    want += [(f"{prefix}/w_in", w_in), (f"{prefix}/b_in", np.zeros(hidden)),
+                             (f"{prefix}/w_out", w_out), (f"{prefix}/b_out", np.zeros(d))]
+            if variant != "no_decoder":
+                weight = uniform(math.sqrt(3 / cfg.look_back), (cfg.horizon, cfg.look_back))
+                want += [(f"stack{stack}/decoder/weight", weight), (f"stack{stack}/decoder/bias", np.zeros(cfg.horizon))]
+        got = build_model(cfg).named_parameters()
+        assert [name for name, _ in got] == [name for name, _ in want]
+        for (name, t), (_, w) in zip(got, want):
+            assert t.shape == w.shape and t.data.tobytes() == w.tobytes(), name
 
 
 class TestStacking:

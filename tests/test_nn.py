@@ -16,8 +16,9 @@ from scinet.tensor import Tape, Tensor, backward, finite_diff_check, mul, sum_al
 
 
 def make_module(seed=0, channels=3, identity_init=True, dropout=0.0, hidden_ratio=2, kernel=5):
-    rng = np.random.default_rng(seed)
-    return InteractionModule(channels, hidden_ratio, kernel, 0.01, dropout, rng, identity_init=identity_init)
+    module = InteractionModule(channels, hidden_ratio, kernel, 0.01, dropout)
+    module.draw(0, np.random.default_rng(seed), identity_init)
+    return module
 
 
 class TestInit:
@@ -61,13 +62,12 @@ class TestInit:
         assert np.any(a.w_in.data != b.w_in.data)
 
     def test_bad_hyperparameters_rejected(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
-            InteractionModule(3, 2, 4, 0.01, 0.0, rng)  # even kernel
+            InteractionModule(3, 2, 4, 0.01, 0.0)  # even kernel
         with pytest.raises(ConfigError):
-            InteractionModule(3, 0, 5, 0.01, 0.0, rng)  # zero hidden ratio
+            InteractionModule(3, 0, 5, 0.01, 0.0)  # zero hidden ratio
         with pytest.raises(ConfigError):
-            InteractionModule(3, 2, 5, 0.01, 1.0, rng)  # dropout 1.0
+            InteractionModule(3, 2, 5, 0.01, 1.0)  # dropout 1.0
 
 
 class TestInteractionForward:

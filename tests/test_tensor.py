@@ -500,13 +500,6 @@ class TestTensorBasics:
         assert t.shape == (2, 3, 4)
         assert t.size == 24
 
-    def test_operator_sugar(self):
-        a = leaf([2.0])
-        b = leaf([3.0])
-        assert (a + b).data[0] == 5.0
-        assert (a - b).data[0] == -1.0
-        assert (a * b).data[0] == 6.0
-
 
 class TestFiniteDiffCheck:
     def test_composite_graph_passes(self):
