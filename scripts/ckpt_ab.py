@@ -1,10 +1,12 @@
 """Check that scinet source trees write byte-identical checkpoints and command outputs.
 
-    python3 scripts/ckpt_ab.py --src OTHER/src --src src
+    python3 scripts/ckpt_ab.py --src OTHER/src --src src [--variates 21]
 
 Each ``--src`` is a scinet source tree. The series is ``synthetic_frame(600,
-3, seed=5)``, written once by the first tree as a CSV without a timestamp
-column. One worker process per tree imports scinet from it and runs the CLI
+N, seed=5)`` with N = ``--variates`` (3 by default), written once by the
+first tree as a CSV without a timestamp column. At look-back 16 the tree's
+rows are 8 and 4 samples long, so 3 variates run conv1d's banded kernel and
+21 never do. One worker process per tree imports scinet from it and runs the CLI
 in its own scratch directory, with the same relative paths in every tree, so
 the configuration hash a checkpoint records is the same too. For each of
 seven model configurations, at ``dropout=0 clip_norm=0`` and at
@@ -78,13 +80,16 @@ def worker() -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--src", action="append", required=True, help="a scinet source tree (repeatable)")
+    parser.add_argument("--variates", type=int, default=3, help="variates of the synthetic series (default 3)")
     args = parser.parse_args()
+    if args.variates < 1:
+        parser.error("--variates must be positive")
     sources = [os.path.abspath(src) for src in args.src]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory(prefix="ckpt_ab_") as scratch:
         data = os.path.join(scratch, "data.csv")
         subprocess.run([sys.executable, "-c", "import sys; from scinet.data import synthetic_frame, write_csv; "
-                        "write_csv(synthetic_frame(600, 3, seed=5), sys.argv[1])", data],
+                        "write_csv(synthetic_frame(600, int(sys.argv[2]), seed=5), sys.argv[1])", data, str(args.variates)],
                        env=dict(env, PYTHONPATH=sources[0]), check=True)
         per_tree = []
         for i, src in enumerate(sources):

@@ -24,11 +24,13 @@ the earlier (G, batch, C, n). The output names it per tree
 plain rows above are one-group calls.
 
 Grouped rows are the level-batched tree's shapes at look-back 48: a level's
-grouped module call over G in {2, 4, 8, 16} groups at n = 48 / G, for the same
-channel pairs at batch 32 (training) and 64 (inference). Each times forward
-plus backward as G separate one-group calls ("sep") and as one grouped call
-("grp"), and counts the minor page faults per call ("_faults" keys; the others
-are microseconds per call).
+grouped module call over G in {2, 4, 8, 16} groups at n = 48 / G, for the
+channel pairs of d in {3, 7, 21} (7 is forecast_cli's, where conv1d's switch
+from im2col to the banded kernel falls between its levels 2 and 3) at batch
+32 (training) and 64 (inference). Each times forward plus backward as G
+separate one-group calls ("sep") and as one grouped call ("grp"), and the
+grouped call's forward alone ("grp_fwd"), and counts the minor page faults
+per call ("_faults" keys; the others are microseconds per call).
 """
 
 import argparse
@@ -45,7 +47,7 @@ LOOP_S = 0.01
 KERNEL = 5
 GRID = [(b, c, o, n) for b in (32, 256) for d in (3, 21) for c, o in ((d, 2 * d), (2 * d, d)) for n in (3, 6, 24)]
 GRID += [(32, c, o, n) for c, o in ((7, 14), (14, 7)) for n in (96, 360)]
-GROUPED = [(b, g, c, o, 48 // g) for b in (32, 64) for d in (3, 21) for c, o in ((d, 2 * d), (2 * d, d))
+GROUPED = [(b, g, c, o, 48 // g) for b in (32, 64) for d in (3, 7, 21) for c, o in ((d, 2 * d), (2 * d, d))
            for g in (2, 4, 8, 16)]
 
 
@@ -121,9 +123,10 @@ def worker() -> None:
         whole = [grouped(xs), tensor.Tensor(ws, requires_grad=True), tensor.Tensor(bs, requires_grad=True)]
         parts = [[grouped(xs[at]), tensor.Tensor(ws[at], requires_grad=True), tensor.Tensor(bs[at], requires_grad=True)]
                  for at in (slice(g, g + 1) for g in range(groups))]
-        modes = {"sep": lambda: [forward_backward(*part) for part in parts], "grp": lambda: forward_backward(*whole)}
+        modes = {"sep_fwd_bwd": lambda: [forward_backward(*part) for part in parts],
+                 "grp_fwd_bwd": lambda: forward_backward(*whole), "grp_fwd": lambda: tensor.conv1d(*whole)}
         for mode, fn in modes.items():
-            key = f"b{batch}_g{groups}_c{in_ch}_o{out_ch}_n{n}_{mode}_fwd_bwd"
+            key = f"b{batch}_g{groups}_c{in_ch}_o{out_ch}_n{n}_{mode}"
             out[key] = _per_call(fn) * 1e6
             out[key + "_faults"] = _faults_per_call(fn)
     print(json.dumps({"grouped_layout": layout, "timings": out}))

@@ -119,11 +119,9 @@ def realign(parts: Tensor) -> Tensor:
 
 
 @functools.lru_cache(maxsize=64)
-def _swap(groups: int) -> np.ndarray:
-    """Read-only rows [second half; first half] of 2·groups: pairs each half with the other's map."""
-    order = np.roll(np.arange(2 * groups), groups)
-    order.flags.writeable = False
-    return order
+def _swap(groups: int) -> tuple[int, ...]:
+    """Rows [second half; first half] of 2·groups, their own inverse: pairs each half with the other's map."""
+    return (*range(groups, 2 * groups), *range(groups))
 
 
 class SCIBlock:

@@ -4,11 +4,10 @@ Conventions fixed across the package:
 
 * no implicit broadcasting: elementwise operands must match shapes exactly
 * conv1d is a cross-correlation (kernels are not flipped) with replication
-  padding, so output length equals input length; it reads its taps through
-  one cached clamped index, so no padded copy of the input exists, and its
-  backward rule keeps nothing but the input's and kernel's own arrays and
-  builds both gradients from one gather of the output gradient through the
-  transpose of that index
+  padding, so output length equals input length; short rows multiply by one
+  banded matrix per group, longer rows gather their taps through one cached
+  clamped index (im2col), and the backward rule keeps nothing but the
+  input's and kernel's own arrays
 * conv1d takes one layout only, grouped and batch innermost: x (groups,
   channels, time, batch) with one kernel per group, so every tap gather
   moves whole batch rows and each group is one matrix product; a single
@@ -34,6 +33,7 @@ from .errors import ConfigError, DimensionError, NumericError, UsageError
 
 EXP_CLAMP = 20.0
 CONV_CHUNK_BYTES = 512 * 1024  # bound on the largest temporary of one chunk of conv1d groups
+CONV_BAND_MAX = 84  # conv1d multiplies by one banded matrix per group where n * max(in_ch, out_ch) <= this
 
 
 class Tensor:
@@ -171,7 +171,7 @@ def exp(x: Tensor) -> Tensor:
     """
     xd = x.data
     out = np.exp(np.clip(xd, -EXP_CLAMP, EXP_CLAMP))
-    if not np.all(np.isfinite(out)):
+    if not math.isfinite(out.sum()):  # at most e^20 per entry, so only a NaN makes the sum non-finite
         idx = int(np.flatnonzero(~np.isfinite(np.ravel(out)))[0])
         raise NumericError(f"exp produced a non-finite value at flat index {idx}")
     return _emit(out, (x,), lambda g: (g * out * (np.abs(xd) < EXP_CLAMP),))
@@ -209,11 +209,12 @@ def _taps(n: int, k: int) -> np.ndarray:
     return index
 
 
-def _group_chunks(groups: int, per_group: int):
+@functools.lru_cache(maxsize=64)
+def _group_chunks(groups: int, per_group: int, limit: int) -> tuple[slice, ...]:
     """Slices of consecutive groups whose largest temporary, ``per_group`` doubles per group, fits
-    CONV_CHUNK_BYTES (at least one group per slice)."""
-    step = max(1, CONV_CHUNK_BYTES // (8 * per_group))
-    return [slice(at, at + step) for at in range(0, groups, step)]
+    ``limit`` bytes (at least one group per slice)."""
+    step = max(1, limit // (8 * per_group))
+    return tuple(slice(at, at + step) for at in range(0, groups, step))
 
 
 def _cols(x: np.ndarray, k: int) -> np.ndarray:
@@ -222,6 +223,27 @@ def _cols(x: np.ndarray, k: int) -> np.ndarray:
     time through the cached tap index, so each copy moves a whole batch row."""
     groups, in_ch, n, batch = x.shape
     return np.take(x, _taps(n, k), axis=2, mode="clip").reshape(groups, in_ch * k, n * batch)
+
+
+@functools.lru_cache(maxsize=64)
+def _band_taps(n: int, k: int) -> np.ndarray:
+    """Read-only 0/1 matrix (k, n*n) whose entry (j, t*n + s) is 1 where tap j reads sample s at time t."""
+    band = (_taps(n, k).reshape(k, n, 1) == np.arange(n)).reshape(k, n * n).astype(np.float64)
+    band.flags.writeable = False
+    return band
+
+
+def _band(wd: np.ndarray, n: int) -> np.ndarray:
+    """w (G, out_ch, in_ch, k) as one banded matrix (out_ch*n, in_ch*n) per group on rows of n samples:
+    entry (o*n + t, c*n + s) sums w[o, c, j] over the taps j that read sample s at time t."""
+    groups, out_ch, in_ch, k = wd.shape
+    band = np.matmul(wd.reshape(groups, out_ch * in_ch, k), _band_taps(n, k)).reshape(groups, out_ch, in_ch, n, n)
+    return band.transpose(0, 1, 3, 2, 4).reshape(groups, out_ch * n, in_ch * n)
+
+
+def _banded(n: int, in_ch: int, out_ch: int) -> bool:
+    """Whether conv1d takes the banded kernel, from per-group sizes only."""
+    return n * max(in_ch, out_ch) <= CONV_BAND_MAX
 
 
 @functools.lru_cache(maxsize=64)
@@ -262,15 +284,24 @@ def _conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, with_input: boo
     """Input, kernel and bias gradients of conv1d, x (G, in_ch, n, batch), for its output gradient g;
     the input gradient is None unless ``with_input``.
 
-    Per group, one gather through the cached ``_adjoint_taps`` index builds the adjoint im2col of g,
-    gcols (out_ch*k, n*batch), whose row o*k + j holds at sample s the sum of g[o, t] over every t
-    whose tap j reads s. Both gradients are then one GEMM each with no fold over the taps: the input
-    gradient is w2T (in_ch, out_ch*k) @ gcols and the kernel gradient gcols @ x2T, in (out_ch, k,
-    in_ch) order. Each chunk of groups writes into the preallocated results.
+    On the banded kernel, per group, the input gradient is band^T @ g and the kernel gradient g @ x^T
+    folded onto the taps through ``_band_taps``. On im2col, per group, one gather through the cached
+    ``_adjoint_taps`` index builds the adjoint im2col of g, gcols (out_ch*k, n*batch), whose row
+    o*k + j holds at sample s the sum of g[o, t] over every t whose tap j reads s. Both gradients are
+    then one GEMM each with no fold over the taps: the input gradient is w2T (in_ch, out_ch*k) @ gcols
+    and the kernel gradient gcols @ x2T, in (out_ch, k, in_ch) order. Each chunk of groups writes into
+    the preallocated results.
     """
     (groups, out_ch, in_ch, k), (_, _, n, batch) = wd.shape, xd.shape
+    if _banded(n, in_ch, out_ch):
+        g2 = g.reshape(groups, out_ch * n, batch)
+        gx = np.matmul(_band(wd, n).transpose(0, 2, 1), g2).reshape(xd.shape) if with_input else None
+        per_entry = np.matmul(g2, xd.reshape(groups, in_ch * n, batch).transpose(0, 2, 1))
+        per_entry = per_entry.reshape(groups, out_ch, n, in_ch, n).transpose(0, 1, 3, 2, 4)
+        gw = np.matmul(per_entry.reshape(groups, out_ch * in_ch, n * n), _band_taps(n, k).T)
+        return gx, gw.reshape(wd.shape), g.sum(axis=(2, 3))
     gx, gw = (np.empty_like(xd) if with_input else None), np.empty_like(wd)
-    for at in _group_chunks(groups, batch * n * k * max(in_ch, out_ch)):
+    for at in _group_chunks(groups, batch * n * k * max(in_ch, out_ch), CONV_CHUNK_BYTES):
         gcols = np.take(_extend(g[at], (k - 1) // 2), _adjoint_taps(n, k), axis=2, mode="clip")
         gcols = gcols.reshape(-1, out_ch * k, n * batch)
         per_row = np.matmul(gcols, xd[at].reshape(-1, in_ch, n * batch).transpose(0, 2, 1))
@@ -288,14 +319,14 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     give out (G, out_ch, n, batch); group g convolves x[g] with w[g] and b[g]. With pad = (k-1)/2,
     out[g, o, t] = sum_{c,j} w[g,o,c,j] * x[g, c, clip(t+j-pad, 0, n-1)] + b[g, o].
 
-    Per group the sum is one GEMM (im2col): one gather through the cached clamped tap index
-    (``_taps``), with no padded buffer, builds cols (in_ch*k, n*batch) in the row order of
-    w.reshape(out_ch, in_ch*k), so out = w2 @ cols + b is already (out_ch, n, batch). Groups run in
-    chunks whose largest temporary stays under CONV_CHUNK_BYTES, each writing into the preallocated
-    output; a group's output and gradients do not depend on the chunking, so they are bit-identical
-    to a one-group call on that group. The backward rule keeps only x's and w's own arrays, so the
-    tape holds no conv1d buffer, and builds both gradients from the adjoint im2col of the output
-    gradient (``_conv1d_grads``); when x takes no gradient, the rule skips its product.
+    The kernel is picked from per-group sizes only (``_banded``), so a group's bits equal a one-group
+    call's. Short rows fold w and the padding into one banded matrix per group (``_band``): out = band
+    @ x.reshape(in_ch*n, batch) + b. Longer rows run im2col: one gather through the cached clamped tap
+    index (``_taps``) builds cols (in_ch*k, n*batch) in the row order of w.reshape(out_ch, in_ch*k),
+    so out = w2 @ cols + b, in chunks of groups whose largest temporary stays under CONV_CHUNK_BYTES.
+    The backward rule keeps only x's and w's own arrays, so the tape holds no conv1d buffer, and
+    builds both gradients on the forward's kernel (``_conv1d_grads``); when x takes no gradient, the
+    rule skips its product.
     """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 4 or wd.ndim != 4 or wd.shape[:1] + wd.shape[2:3] != xd.shape[:2] or bd.shape != wd.shape[:2]:
@@ -305,10 +336,13 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if k % 2 == 0:
         raise ConfigError(f"conv1d: kernel size must be odd, got {k}")
     _, _, n, batch = xd.shape
-    out = np.empty((groups, out_ch, n, batch))
-    for at in _group_chunks(groups, batch * n * k * max(in_ch, out_ch)):
-        w2 = wd[at].reshape(-1, out_ch, in_ch * k)
-        np.matmul(w2, _cols(xd[at], k), out=out[at].reshape(w2.shape[0], out_ch, n * batch))
+    if _banded(n, in_ch, out_ch):
+        out = np.matmul(_band(wd, n), xd.reshape(groups, in_ch * n, batch)).reshape(groups, out_ch, n, batch)
+    else:
+        out = np.empty((groups, out_ch, n, batch))
+        for at in _group_chunks(groups, batch * n * k * max(in_ch, out_ch), CONV_CHUNK_BYTES):
+            w2 = wd[at].reshape(-1, out_ch, in_ch * k)
+            np.matmul(w2, _cols(xd[at], k), out=out[at].reshape(w2.shape[0], out_ch, n * batch))
     out += bd[:, :, None, None]
 
     def rule(g):
@@ -375,6 +409,14 @@ def interleave_time(*parts: Tensor) -> Tensor:
     return _emit(out, parts, rule)
 
 
+@functools.lru_cache(maxsize=64)
+def _inverse(order: tuple[int, ...]) -> np.ndarray:
+    """Read-only inverse of the permutation ``order``: ``order``'s rows or axes, moved back."""
+    back = np.argsort(order)
+    back.flags.writeable = False
+    return back
+
+
 def gather_groups(parts: Sequence[Tensor], order: Sequence[int] | None = None) -> Tensor:
     """Concatenate ``parts`` along their leading (group) axis, then put its rows in ``order``.
 
@@ -386,12 +428,12 @@ def gather_groups(parts: Sequence[Tensor], order: Sequence[int] | None = None) -
         if d.shape[1:] != datas[0].shape[1:]:
             raise DimensionError(f"gather_groups: group shapes differ, {datas[0].shape[1:]} vs {d.shape[1:]}")
     cat = datas[0] if len(datas) == 1 else np.concatenate(datas)
-    out = cat.copy() if order is None else cat[order]
+    out = cat.copy() if order is None else np.take(cat, order, axis=0)
     bounds = [0, *itertools.accumulate(d.shape[0] for d in datas)]
 
     def rule(g):
         if order is not None:
-            g = g[np.argsort(order)]
+            g = np.take(g, _inverse(tuple(order)), axis=0)
         return tuple(g[a:b] for a, b in zip(bounds, bounds[1:]))
 
     return _emit(out, tuple(parts), rule)
@@ -401,7 +443,7 @@ def relayout(x: Tensor, split: Sequence[int], axes: Sequence[int], shape: Sequen
     """``x.data.reshape(split).transpose(axes).reshape(shape)`` as a fresh array, never a view of x's data
     (not even for identity ``axes``). The rule moves the gradient back through the inverse permutation."""
     moved = x.data.reshape(split).transpose(axes)
-    moved_shape, back, x_shape = moved.shape, np.argsort(axes), x.data.shape
+    moved_shape, back, x_shape = moved.shape, _inverse(tuple(axes)), x.data.shape
 
     def rule(g):
         return (g.reshape(moved_shape).transpose(back).reshape(x_shape),)

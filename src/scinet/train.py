@@ -264,22 +264,30 @@ def save_checkpoint(path: str, model: StackedSCINet, extras: dict | None = None)
 
 @contextlib.contextmanager
 def replacing(path: str, mode: str = "w", **kwargs):
-    """Open ``<path>.tmp`` for writing; once the block ends, sync it and rename it onto ``path``.
+    """Open a new ``<path>.<random hex>.tmp``; once the block ends, sync it and rename it onto ``path``.
 
-    The rename is atomic, so a write that fails part-way leaves the previous
-    file intact, and the partial ``.tmp`` is removed. An ``OSError`` is raised
-    again naming ``path``, not the ``.tmp``. ``kwargs`` go to ``open``.
+    Each writer makes its own temporary (``O_EXCL``, with the umask's usual
+    permissions), so of two writers of one path the last to finish leaves its
+    whole output. The rename is atomic, so a write that fails part-way leaves
+    the previous file intact, and the partial temporary is removed. An
+    ``OSError`` is raised again naming ``path``. ``kwargs`` go to ``open``.
     """
-    tmp = f"{path}.tmp"
+    tmp = None
     try:
-        with open(tmp, mode, **kwargs) as fh:
+        while tmp is None:  # a name that is taken, by another writer or a crashed one, is skipped
+            name = f"{path}.{os.urandom(6).hex()}.tmp"
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                tmp = name
+        with open(fd, mode, **kwargs) as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException as e:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        if tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
         if isinstance(e, OSError):
             raise OSError(f"cannot write {path}: {e.strerror or e}") from e
         raise

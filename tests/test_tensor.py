@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -29,6 +30,8 @@ from scinet.tensor import (
     sub,
     sum_all,
     _adjoint_taps,
+    _band_taps,
+    _banded,
     _taps,
 )
 from scinet import tensor as tensor_module
@@ -49,6 +52,16 @@ def _relayouts(draw):
 
 def leaf(arr, requires_grad=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
+
+
+KERNELS = {"im2col": 0, "banded": 1 << 30}  # CONV_BAND_MAX values that send every conv1d call to one kernel
+
+
+@contextlib.contextmanager
+def conv_kernel(name):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor_module, "CONV_BAND_MAX", KERNELS[name])
+        yield
 
 
 class TestElementwise:
@@ -178,13 +191,14 @@ def check_conv1d_against_tap_by_tap(groups, batch, in_ch, out_ch, k, n, seed):
         gw[..., j] = np.einsum("gotb,gctb->goc", probe, tap)
         np.add.at(gx, (slice(None), slice(None), source[j:j + n]), np.einsum("goc,gotb->gctb", wd[..., j], probe))
 
-    x, w, b = leaf(xd), leaf(wd), leaf(bd)
-    with Tape() as tape:
-        y = conv1d(x, w, b)
-        loss = sum_all(mul(y, Tensor(probe)))
-    backward(loss, tape)
-    for got, want in ((y.data, out), (x.grad, gx), (w.grad, gw), (b.grad, probe.sum(axis=(2, 3)))):
-        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    for kernel in KERNELS:
+        x, w, b = leaf(xd), leaf(wd), leaf(bd)
+        with conv_kernel(kernel), Tape() as tape:
+            y = conv1d(x, w, b)
+            loss = sum_all(mul(y, Tensor(probe)))
+            backward(loss, tape)
+        for got, want in ((y.data, out), (x.grad, gx), (w.grad, gw), (b.grad, probe.sum(axis=(2, 3)))):
+            npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=kernel)
 
 
 class TestConv1d:
@@ -247,7 +261,9 @@ class TestConv1d:
         def f():
             return sum_all(mul(conv1d(x, w, b), Tensor(probe)))
 
-        assert finite_diff_check(f, [x, w, b]) < 1e-6
+        for kernel in KERNELS:
+            with conv_kernel(kernel):
+                assert finite_diff_check(f, [x, w, b]) < 1e-6, kernel
 
     @pytest.mark.parametrize("k, n", [(1, 6), (5, 1)], ids=["k1 unpadded", "k5 n1 multi-pad edge fold"])
     def test_gradcheck_padding_extremes(self, k, n):
@@ -260,7 +276,9 @@ class TestConv1d:
         def f():
             return sum_all(mul(conv1d(x, w, b), Tensor(probe)))
 
-        assert finite_diff_check(f, [x, w, b]) < 1e-6
+        for kernel in KERNELS:
+            with conv_kernel(kernel):
+                assert finite_diff_check(f, [x, w, b]) < 1e-6, kernel
 
     @given(
         groups=st.integers(1, 3),
@@ -280,10 +298,11 @@ class TestConv1d:
         # no array other than the input's and the kernel's own
         rng = np.random.default_rng(4)
         x, w, b = leaf(rng.normal(size=(1, 3, 6, 2))), leaf(rng.normal(size=(1, 4, 3, 5))), leaf(np.zeros((1, 4)))
-        with Tape() as tape:
-            conv1d(x, w, b)
-        cells = [cell.cell_contents for cell in tape.nodes[-1].rule.__closure__]
-        assert cells and all(c is x.data or c is w.data for c in cells)
+        for kernel in KERNELS:
+            with conv_kernel(kernel), Tape() as tape:
+                conv1d(x, w, b)
+            cells = [cell.cell_contents for cell in tape.nodes[-1].rule.__closure__]
+            assert cells and all(c is x.data or c is w.data for c in cells)
 
     @pytest.mark.parametrize("shape, kernel", [((1, 2, 7, 3), (1, 4, 2, 5)), ((3, 2, 7, 4), (3, 5, 2, 3))],
                              ids=["one group", "grouped"])
@@ -292,17 +311,20 @@ class TestConv1d:
         xd, wd = rng.normal(size=shape), rng.normal(size=kernel)
         bd = rng.normal(size=kernel[:-2])
         g = rng.normal(size=conv1d(leaf(xd), leaf(wd), leaf(bd)).shape)
-        grads = []
-        for x_grad in (True, False):
-            x, w = leaf(xd, x_grad), leaf(wd)
-            with Tape() as tape:
-                conv1d(x, w, leaf(bd))
-            rule = tape.nodes[-1].rule
-            assert all(cell.cell_contents is x.data or cell.cell_contents is w.data for cell in rule.__closure__)
-            gx, gw, gb = rule(g)
-            assert (gx is not None) is x_grad
-            grads.append((gw.tobytes(), gb.tobytes()))
-        assert grads[0] == grads[1]
+        for kernel in KERNELS:
+            grads = []
+            for x_grad in (True, False):
+                x, w = leaf(xd, x_grad), leaf(wd)
+                with conv_kernel(kernel):
+                    with Tape() as tape:
+                        conv1d(x, w, leaf(bd))
+                    rule = tape.nodes[-1].rule
+                    assert all(cell.cell_contents is x.data or cell.cell_contents is w.data
+                               for cell in rule.__closure__)
+                    gx, gw, gb = rule(g)
+                assert (gx is not None) is x_grad
+                grads.append((gw.tobytes(), gb.tobytes()))
+            assert grads[0] == grads[1], kernel
 
     def test_tap_indices_are_cached_read_only(self):
         index = _taps(6, 5)
@@ -310,6 +332,22 @@ class TestConv1d:
         npt.assert_array_equal(index[:6], [0, 0, 0, 1, 2, 3])  # tap 0 reads two samples back, clamped
         with pytest.raises(ValueError):
             index[0] = 1
+
+    def test_band_tap_matrix_is_cached_read_only(self):
+        band = _band_taps(6, 5)
+        assert _band_taps(6, 5) is band and not band.flags.writeable
+        per_time = band.reshape(5, 6, 6)  # (tap, time, sample)
+        npt.assert_array_equal(per_time.sum(axis=2), np.ones((5, 6)))  # each tap reads one sample at each time
+        npt.assert_array_equal(per_time.argmax(axis=2).ravel(), _taps(6, 5))
+        with pytest.raises(ValueError):
+            band[0, 0] = 1.0
+
+    def test_band_gate_selects_the_short_tree_levels(self):
+        # the interaction module's two calls, d -> 2d and 2d -> d, at look-back 48: levels 2-4 of a
+        # 3-variate tree, level 3 of a 7-variate one and no level at 21 variates take the banded kernel
+        for d, banded_levels in ((3, [False, True, True, True]), (7, [False, False, True]), (21, [False] * 3)):
+            rows = [48 >> level for level in range(1, len(banded_levels) + 1)]
+            assert [_banded(n, d, 2 * d) for n in rows] == [_banded(n, 2 * d, d) for n in rows] == banded_levels
 
     def test_adjoint_tap_indices_sum_what_each_tap_read(self):
         # at n = 6, k = 5 the extended gradient is g[0..5], prefix sums at 6..8, suffix sums at 9..11, zero at 12
@@ -548,24 +586,27 @@ class TestGroupedOps:
     )
     @settings(max_examples=60, deadline=None)
     def test_grouped_conv1d_is_separate_calls_bit_for_bit(self, groups, batch, in_ch, out_ch, k, n, chunk, seed):
-        # group g of a call on x (G, C, n, B) is the one-group call on x[g:g+1], whatever the chunking
+        # group g of a call on x (G, C, n, B) is the one-group call on x[g:g+1], on either kernel and
+        # whatever the chunking
         rng = np.random.default_rng(seed)
         x, w, b = rng.normal(size=(groups, in_ch, n, batch)), rng.normal(size=(groups, out_ch, in_ch, k)), \
             rng.normal(size=(groups, out_ch))
         g = rng.normal(size=(groups, out_ch, n, batch))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tensor_module, "CONV_CHUNK_BYTES", chunk)
-            with Tape() as tape:
-                out = conv1d(leaf(x), leaf(w), leaf(b))
-            gx, gw, gb = tape.nodes[-1].rule(g)
-        for i in range(groups):
-            one = slice(i, i + 1)
-            with Tape() as tape:
-                ref = conv1d(leaf(x[one]), leaf(w[one]), leaf(b[one]))
-            rx, rw, rb = tape.nodes[-1].rule(np.ascontiguousarray(g[one]))
-            assert out.data[one].tobytes() == ref.data.tobytes()
-            assert gx[one].tobytes() == rx.tobytes()
-            assert gw[one].tobytes() == rw.tobytes() and gb[one].tobytes() == rb.tobytes()
+        for kernel in KERNELS:
+            with conv_kernel(kernel):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(tensor_module, "CONV_CHUNK_BYTES", chunk)
+                    with Tape() as tape:
+                        out = conv1d(leaf(x), leaf(w), leaf(b))
+                    gx, gw, gb = tape.nodes[-1].rule(g)
+                for i in range(groups):
+                    one = slice(i, i + 1)
+                    with Tape() as tape:
+                        ref = conv1d(leaf(x[one]), leaf(w[one]), leaf(b[one]))
+                    rx, rw, rb = tape.nodes[-1].rule(np.ascontiguousarray(g[one]))
+                    assert out.data[one].tobytes() == ref.data.tobytes()
+                    assert gx[one].tobytes() == rx.tobytes()
+                    assert gw[one].tobytes() == rw.tobytes() and gb[one].tobytes() == rb.tobytes()
 
     @given(
         groups=st.integers(1, 3), batch=st.integers(1, 3), in_ch=st.integers(1, 3), out_ch=st.integers(1, 3),

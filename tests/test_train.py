@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -15,13 +16,14 @@ from hypothesis import strategies as st
 import scinet
 from scinet.data import WindowDataset, fit_normalizer, synthetic_frame
 from scinet.errors import CheckpointError, ConfigError, NumericError
-from scinet.model import ModelConfig, build_model
+from scinet.model import INFERENCE_BATCH, ModelConfig, build_model
 from scinet.tensor import Tensor
 from scinet.train import (
     Adam,
     TrainConfig,
     fit,
     load_checkpoint,
+    replacing,
     save_checkpoint,
     should_stop,
     train_epoch,
@@ -492,16 +494,21 @@ class TestCheckpointRobustness:
             pass
 
 
-# the smallest 21-variate fit tried whose checkpoint bytes moved with the OpenBLAS thread count while
-# conv1d's kernel gradient was a product of g with the im2col of x
+# one fit per conv1d kernel, as (variates, levels, stacks): the smallest 21-variate fit tried whose
+# checkpoint bytes moved with the OpenBLAS thread count while conv1d's kernel gradient was a product of g
+# with the im2col of x, which never reaches the banded kernel, and train_narrow's shape, whose levels 2-4
+# take it
+THREADED_FITS = [(21, 3, 1), (3, 4, 2)]
 THREADED_FIT = """
 import sys
 from scinet import data, model, train
-frame = data.synthetic_frame(400, 21, seed=7)
+variates, levels, stacks = map(int, sys.argv[2:])
+frame = data.synthetic_frame(400, variates, seed=7)
 ranges = data.split(frame, data.SplitSpec.parse("ratio:6,2,2"))
 normed = data.fit_normalizer(frame, ranges[0]).apply(frame.values)
 train_ds, val_ds, _ = [data.WindowDataset(normed, r, 48, 24) for r in ranges]
-net = model.build_model(model.ModelConfig(look_back=48, horizon=24, n_variates=21, levels=3, stacks=1, seed=7))
+net = model.build_model(model.ModelConfig(look_back=48, horizon=24, n_variates=variates, levels=levels,
+                                          stacks=stacks, seed=7))
 train.fit(net, train_ds, val_ds, train.TrainConfig(epochs=1, seed=7))
 train.save_checkpoint(sys.argv[1], net)
 """
@@ -509,11 +516,53 @@ train.save_checkpoint(sys.argv[1], net)
 
 def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     src = str(Path(scinet.__file__).parents[1])
-    written = []
-    for threads in ("1", "2"):
-        path = tmp_path / f"threads{threads}.ckpt"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-c", THREADED_FIT, str(path)], env=env, timeout=300, check=True)
-        written.append(hashlib.sha256(path.read_bytes()).hexdigest())
-    assert written[0] == written[1]
+    for fit_shape in THREADED_FITS:
+        written = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"threads{threads}.ckpt"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-c", THREADED_FIT, str(path), *map(str, fit_shape)], env=env,
+                           timeout=300, check=True)
+            written.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert written[0] == written[1], fit_shape
+
+
+@pytest.mark.parametrize("variates, levels, stacks", [(3, 4, 2), (7, 3, 1)], ids=["train_narrow", "forecast_cli"])
+def test_a_window_predicts_the_same_bits_beside_any_windows_of_a_full_batch(variates, levels, stacks):
+    # conv1d picks its kernel from per-group sizes only, so a window's forecast does not depend on which
+    # windows share its INFERENCE_BATCH batch or where it sits there; these shapes run some levels on
+    # the banded kernel and some on im2col. (A batch of another size may round differently in BLAS.)
+    net = build_model(ModelConfig(look_back=48, horizon=24, n_variates=variates, levels=levels, stacks=stacks,
+                                  identity_init=False, seed=3))
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(INFERENCE_BATCH, variates, 48))
+    order = rng.permutation(INFERENCE_BATCH)  # every other window of x among fresh ones, shuffled
+    other = np.concatenate([x[::2], rng.normal(size=x[1::2].shape)])[order]
+    first, second = net.forward(Tensor(x))[-1].data, net.forward(Tensor(other))[-1].data
+    for i in range(0, INFERENCE_BATCH, 2):
+        assert first[i].tobytes() == second[np.flatnonzero(order == i // 2)[0]].tobytes(), i
+
+
+class TestReplacing:
+    def test_nested_writers_of_one_path_leave_one_whole_output(self, tmp_path):
+        path = tmp_path / "out.csv"
+        outer_text, inner_text = "outer\n" * 2000, "inner\n"
+        with replacing(str(path)) as outer:
+            outer.write(outer_text[:6000])
+            with replacing(str(path)) as inner:
+                inner.write(inner_text)
+            assert path.read_text() == inner_text
+            outer.write(outer_text[6000:])
+        assert path.read_text() == outer_text  # the last writer to finish, whole
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_new_file_takes_the_umask_permissions(self, tmp_path):
+        path = tmp_path / "out.csv"
+        previous = os.umask(0o027)
+        try:
+            with replacing(str(path)) as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
