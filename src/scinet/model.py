@@ -120,7 +120,8 @@ def realign(parts: Tensor) -> Tensor:
 
 @functools.lru_cache(maxsize=64)
 def _swap(groups: int) -> tuple[int, ...]:
-    """Rows [second half; first half] of 2·groups, their own inverse: pairs each half with the other's map."""
+    """Rows [second half; first half] of 2·groups, pairing each half with the other's map; a tuple, so
+    gather_groups can cache its inverse."""
     return (*range(groups, 2 * groups), *range(groups))
 
 
