@@ -20,7 +20,6 @@ It prints one line per output with its sha256 in each tree, in ``--src``
 order, and exits 1 if any output differs between the trees.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -29,6 +28,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import trees
 
 BASE = dict(data_path="data.csv", timestamp_column="none", look_back=16, horizon=4, levels=2, stacks=2, epochs=2,
             seed=5)
@@ -78,27 +79,22 @@ def worker() -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--src", action="append", required=True, help="a scinet source tree (repeatable)")
+    parser = trees.parser(__doc__)
     parser.add_argument("--variates", type=int, default=3, help="variates of the synthetic series (default 3)")
     args = parser.parse_args()
     if args.variates < 1:
         parser.error("--variates must be positive")
-    sources = [os.path.abspath(src) for src in args.src]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory(prefix="ckpt_ab_") as scratch:
         data = os.path.join(scratch, "data.csv")
         subprocess.run([sys.executable, "-c", "import sys; from scinet.data import synthetic_frame, write_csv; "
                         "write_csv(synthetic_frame(600, int(sys.argv[2]), seed=5), sys.argv[1])", data, str(args.variates)],
-                       env=dict(env, PYTHONPATH=sources[0]), check=True)
+                       env=dict(trees.ENV, PYTHONPATH=args.src[0]), check=True)
         per_tree = []
-        for i, src in enumerate(sources):
+        for i, src in enumerate(args.src):
             directory = os.path.join(scratch, str(i))
             os.mkdir(directory)
             os.link(data, os.path.join(directory, "data.csv"))
-            done = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker"], cwd=directory,
-                                  env=dict(env, PYTHONPATH=src), capture_output=True, text=True, check=True)
-            per_tree.append(json.loads(done.stdout))
+            per_tree.append(trees.run(__file__, src, cwd=directory))
     differ = 0
     for output in per_tree[0]:
         shas = [tree.get(output, "missing") for tree in per_tree]
@@ -110,7 +106,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--worker"]:
-        worker()
-    else:
-        main()
+    trees.dispatch(worker, main)

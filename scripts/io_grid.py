@@ -5,11 +5,10 @@
 Each ``--src`` is a scinet source tree. The inputs are written once, before
 any timing, into a temporary directory: an hourly CSV with a ``date`` column
 and repr floats (as ``perfbench`` writes its series) for every rows x
-variates pair of the grid. A round runs one worker process per tree, with the
-order of the trees rotating from round to round, so slow phases of the host
-fall on every tree alike. A worker imports scinet from its tree with one BLAS
-thread and times, per shape, the median of REPEATS calls and the minor page
-faults per call ("_faults" keys; the others are milliseconds per call):
+variates pair of the grid. A round runs one worker process per tree, in the
+rotating order of ``trees.py``, and a worker times, per shape, the median of
+REPEATS calls and the minor page faults per call ("_faults" keys; the others
+are milliseconds per call):
 
 - ``load``: ``data.load_csv`` of the file, rows {400, 2000, 17420} x
   variates {3, 7, 21}.
@@ -30,16 +29,15 @@ The output gives, per tree and key, the median and quartiles over the rounds,
 and the machine it ran on.
 """
 
-import argparse
 import csv
 import json
 import os
-import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
+
+import trees
 
 REPEATS = 5
 EMIT_REPEATS = 3
@@ -70,17 +68,13 @@ def write_inputs(directory: str) -> None:
 
 def _timed(fn, repeats: int) -> tuple[float, float]:
     """Median milliseconds per call and minor page faults per call, after one untimed call."""
-    import resource
-
     fn()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    times = []
+    before, times = trees.minflt(), []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / repeats
-    return statistics.median(times) * 1e3, faults
+    return statistics.median(times) * 1e3, (trees.minflt() - before) / repeats
 
 
 def worker(directory: str) -> None:
@@ -119,52 +113,18 @@ def worker(directory: str) -> None:
     print(json.dumps(out))
 
 
-def machine() -> dict:
-    import numpy as np
-
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": f"{blas['name']} {blas['version']}",
-        "blas_config": blas.get("openblas configuration", ""),
-        "blas_threads": 1,
-    }
-
-
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--src", action="append", required=True, help="a scinet source tree (repeatable)")
-    parser.add_argument("--rounds", type=int, default=5)
-    args = parser.parse_args()
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2 to give quartiles")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    args = trees.parse(__doc__, rounds=5)
     runs = {src: [] for src in args.src}
     with tempfile.TemporaryDirectory() as directory:
         write_inputs(directory)
-        for r in range(args.rounds):
-            order = args.src[r % len(args.src):] + args.src[:r % len(args.src)]
+        for order in trees.rotations(args.src, args.rounds):
             for src in order:
-                done = subprocess.run([sys.executable, __file__, "--worker", directory],
-                                      env=dict(env, PYTHONPATH=src), check=True, capture_output=True, text=True)
-                runs[src].append(json.loads(done.stdout))
-    result = {}
-    for src, rounds in runs.items():
-        result[src] = {}
-        for key in rounds[0]:
-            q1, med, q3 = statistics.quantiles([run[key] for run in rounds], n=4, method="inclusive")
-            unit = "faults" if key.endswith("_faults") else "ms"
-            result[src][key] = {f"median_{unit}": round(med, 2), f"q1_{unit}": round(q1, 2),
-                                f"q3_{unit}": round(q3, 2)}
-    print(json.dumps({"machine": machine(), "rounds": args.rounds, "repeats": REPEATS,
+                runs[src].append(trees.run(__file__, src, directory))
+    print(json.dumps({"machine": trees.machine(), "rounds": args.rounds, "repeats": REPEATS,
                       "emit_repeats": EMIT_REPEATS, "look_back": LOOK_BACK, "horizon": HORIZON,
-                      "timings": result}, indent=1))
+                      "timings": {src: trees.summarize(rounds, 2, "ms") for src, rounds in runs.items()}}, indent=1))
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--worker"]:
-        worker(sys.argv[2])
-    else:
-        main()
+    trees.dispatch(worker, main)

@@ -13,6 +13,7 @@ recent input steps together with the previous stack's output.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,18 +184,6 @@ class _TreeNode:
         return out if self.child is None else self.child.forward(out, training, rng)
 
 
-def _depth_first(levels: int) -> list[tuple[int, int]]:
-    """(level, index within the level) of every block, depth-first: a block, then its even
-    subtree, then its odd subtree. Child 2g of block g takes its even half, 2g+1 its odd half."""
-    order, todo = [], [(1, 0)]
-    while todo:
-        level, g = todo.pop()
-        order.append((level, g))
-        if level < levels:
-            todo += [(level + 1, 2 * g + 1), (level + 1, 2 * g)]
-    return order
-
-
 def _row(t: Tensor, index: int) -> Tensor:
     """Row ``index`` of a grouped parameter, sharing its data and any gradient; it is not taped."""
     view = Tensor._wrap(t.data[index], t.requires_grad)
@@ -240,9 +229,13 @@ class SCINetTree:
             self.root = _TreeNode(block, self.root)
         first, second = (1, 0) if cfg.no_interlearn else (0, 1)
         self.named_rows: list[tuple[str, Tensor, int | None]] = []  # name, tensor or slab, slab row
-        for level, g in _depth_first(cfg.levels):  # each row is drawn as it is named: the checkpoint's order
+        # a block's name spells its path from the root, e (even half) before o, so the sorted names run
+        # depth-first, even subtree first; each row is drawn as it is named: the checkpoint's order
+        paths = {"b" + "".join(bits): (level, g) for level in range(1, cfg.levels + 1)
+                 for g, bits in enumerate(itertools.product("eo", repeat=level - 1))}
+        for path in sorted(paths):
+            level, g = paths[path]
             block, groups = blocks[level - 1], 1 << (level - 1)
-            path = "b" + "".join("eo"[(g >> bit) & 1] for bit in reversed(range(level - 1)))
             places = ((block.scale, g),) if cfg.weight_share else [
                 (module, half * groups + g) for module in (block.scale, block.correct) for half in (first, second)]
             for role, (module, row) in zip(roles, places):

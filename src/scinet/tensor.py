@@ -100,12 +100,12 @@ class Tape:
     active tape whenever an input requires a gradient. Because nodes are
     appended in the order they execute, every node's operands precede it,
     and one reverse iteration is a complete backward pass. ``backward``
-    consumes the tape: it leaves ``nodes`` empty.
+    consumes the tape: it leaves ``nodes`` empty and sets ``consumed``.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._output_ids: set[int] = set()
+        self.consumed = False
 
     def __enter__(self) -> "Tape":
         _STACK.append(self)
@@ -115,27 +115,15 @@ class Tape:
         _STACK.pop()
         return False
 
-    def _record(self, inputs: tuple[Tensor, ...], output: Tensor, rule) -> None:
-        self.nodes.append(_Node(inputs, output, rule))
-        self._output_ids.add(id(output))
-
-    def produced(self, t: Tensor) -> bool:
-        return id(t) in self._output_ids
-
 
 _STACK: list[Tape] = []
 
 
-def active_tape() -> Tape | None:
-    return _STACK[-1] if _STACK else None
-
-
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], rule) -> Tensor:
-    tape = active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
+    track = bool(_STACK) and any(t.requires_grad for t in inputs)
     out = Tensor._wrap(out_data, track)
     if track:
-        tape._record(inputs, out, rule)
+        _STACK[-1].nodes.append(_Node(inputs, out, rule))
     return out
 
 
@@ -168,6 +156,8 @@ def exp(x: Tensor) -> Tensor:
     """Elementwise exponential with input clamped to [-EXP_CLAMP, EXP_CLAMP].
 
     Outside the clamp the output is constant, so its gradient there is zero.
+    The model's only call reads a ``tanh`` output, which lies in [-1, 1], so
+    the clamp never binds there; it guards other callers.
     """
     xd = x.data
     out = np.exp(np.clip(xd, -EXP_CLAMP, EXP_CLAMP))
@@ -495,10 +485,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.data.size != 1:
         raise UsageError(f"backward: loss must be a scalar, got shape {loss.shape}")
-    if not tape.produced(loss):
-        raise UsageError("backward: loss was not produced on this tape")
-    if not tape.nodes:  # the loss's own node was recorded, so only a sweep empties the tape
+    if tape.consumed:
         raise UsageError("backward: this tape was already consumed by an earlier backward; record a new one")
+    if not any(node.output is loss for node in reversed(tape.nodes)):
+        raise UsageError("backward: loss was not produced on this tape")
+    tape.consumed = True
     loss.grad = np.ones_like(loss.data)
     nodes = tape.nodes
     while nodes:
