@@ -8,6 +8,7 @@ trees from round to round, so slow phases of the host fall on every tree alike.
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -15,6 +16,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import types
 
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
@@ -89,6 +91,35 @@ def faults_per_call(fn, calls: int) -> float:
     for _ in range(calls):
         fn()
     return (minflt() - before) / calls
+
+
+def tape_bytes(tape, params) -> int:
+    """Bytes of the buffers that ``tape``'s nodes alone keep alive: every array they reach (through
+    their operands, whether tensors or gradient slots, and their rules' closures, not through module
+    globals), counted once per base buffer, less the buffers of ``params``, which live anyway."""
+    import numpy as np
+
+    def base(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    skip = {id(base(p.data)) for p in params}
+    seen, held, stack = set(), {}, list(tape.nodes)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            buf = base(obj)
+            if id(buf) not in skip:
+                held[id(buf)] = buf.nbytes
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(obj.__closure__ or ())
+        elif not isinstance(obj, (type, types.ModuleType)):
+            stack.extend(gc.get_referents(obj))
+    return sum(held.values())
 
 
 def machine() -> dict:

@@ -10,12 +10,13 @@ score is invariant under any strictly increasing transform of the values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, NumericError
 from .model import INFERENCE_BATCH
 from .tensor import Tensor
 
@@ -83,10 +84,21 @@ def permutation_entropy(series: np.ndarray, cfg: PEConfig) -> float:
     span = (cfg.order - 1) * cfg.lag + 1
     if x.size <= span:
         raise ConfigError(f"series of {x.size} samples too short for order {cfg.order}, lag {cfg.lag}")
-    n_win = x.size - span + 1
-    emb = x[np.arange(n_win)[:, None] + cfg.lag * np.arange(cfg.order)[None, :]]
-    patterns = np.argsort(emb, axis=1, kind="stable")  # stable sort ties on earlier index
-    codes = patterns @ (cfg.order ** np.arange(cfg.order))
+    if not np.all(np.isfinite(x)):
+        idx = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise NumericError(f"permutation entropy: non-finite sample {x[idx]} at index {idx}")
+    order, n_win = cfg.order, x.size - span + 1
+    # rank i counts the window's samples below its sample i (a view per i); of two equal samples the later
+    # ranks above, as in a stable sort. The sorting permutation's code, sum over r of (index at rank r) *
+    # order^r, is then the sum of i * order^rank_i
+    cols = [x[i * cfg.lag:i * cfg.lag + n_win] for i in range(order)]
+    ranks = [np.full(n_win, order - 1 - i, dtype=np.min_scalar_type(order)) for i in range(order)]
+    for i, j in itertools.combinations(range(order), 2):
+        above = cols[j] >= cols[i]
+        ranks[j] += above
+        ranks[i] -= above
+    powers = order ** np.arange(order)
+    codes = sum(i * powers[ranks[i]] for i in range(1, order))
     _, counts = np.unique(codes, return_counts=True)
     p = counts / counts.sum()
     entropy = float(-(p * np.log(p)).sum())

@@ -212,7 +212,7 @@ class SCINetTree:
     n, batch) mask, then the correction call's.
     """
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator, name: str):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None, name: str):
         cfg = self.config = config
         identity = cfg.identity_init and not cfg.no_interlearn
         roles = ("shared",) if cfg.weight_share else ROLES
@@ -239,7 +239,8 @@ class SCINetTree:
             places = ((block.scale, g),) if cfg.weight_share else [
                 (module, half * groups + g) for module in (block.scale, block.correct) for half in (first, second)]
             for role, (module, row) in zip(roles, places):
-                module.draw(row, rng, identity)
+                if rng is not None:
+                    module.draw(row, rng, identity)
                 self.named_rows.extend((f"{name}/{path}/{role}/{p}", getattr(module, p), row) for p in module.PARAMS)
         if config.no_decoder:
             self.decoder = None
@@ -267,10 +268,11 @@ class StackedSCINet:
     k's forecast, so its input again has length look_back.
     """
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, _draw: bool = True):
+        """``_draw=False`` leaves every parameter zero, for a loader that overwrites them all."""
         config.validate()
         self.config = config
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed) if _draw else None
         self.trees = [SCINetTree(config, rng, f"stack{i}") for i in range(config.stacks)]
 
     def forward(

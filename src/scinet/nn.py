@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DimensionError, UsageError
-from .tensor import Tensor, conv1d, gather_groups, leaky_relu, linear, mul, tanh
+from .tensor import Tensor, conv1d, gather_groups, leaky_relu, linear, masked_scale, tanh
 
 
 def kaiming_uniform_bound(fan_in: int, gain: float) -> float:
@@ -37,8 +37,7 @@ def dropout_forward(x: Tensor, p: float, training: bool, rng: np.random.Generato
         return x
     if rng is None:
         raise UsageError("dropout in training mode requires an rng")
-    keep = np.multiply(rng.random(x.shape) >= p, 1.0 / (1.0 - p))
-    return mul(x, Tensor._wrap(keep, False))
+    return masked_scale(x, rng.random(x.shape) >= p, 1.0 / (1.0 - p))
 
 
 class InteractionModule:
@@ -105,12 +104,13 @@ class DecoderLayer:
     """Affine map from the look-back axis to the horizon axis.
 
     One (horizon, look_back) weight shared by every variate: the same
-    time-mixing matrix is applied to each channel independently.
+    time-mixing matrix is applied to each channel independently. It is drawn
+    Kaiming-uniform from ``rng``, or left zero without one.
     """
 
-    def __init__(self, look_back: int, horizon: int, rng: np.random.Generator):
-        bound = kaiming_uniform_bound(look_back, 1.0)
-        self.weight = Tensor(rng.uniform(-bound, bound, size=(horizon, look_back)), requires_grad=True)
+    def __init__(self, look_back: int, horizon: int, rng: np.random.Generator | None):
+        bound, shape = kaiming_uniform_bound(look_back, 1.0), (horizon, look_back)
+        self.weight = Tensor(np.zeros(shape) if rng is None else rng.uniform(-bound, bound, size=shape), True)
         self.bias = Tensor(np.zeros(horizon), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -18,6 +18,9 @@ Conventions fixed across the package:
   topological order, so a single reverse sweep propagates every gradient;
   the sweep consumes the tape, popping each node and freeing what its rule
   saved once the rule has run, so a tape supports one backward
+* a node holds gradient slots (grad, requires_grad, shape), never tensors,
+  and its rule saves only the arrays its formula reads (a bool mask for a
+  sign or a clamp test), so an array no rule reads is freed with its tensor
 """
 
 from __future__ import annotations
@@ -36,16 +39,26 @@ CONV_CHUNK_BYTES = 512 * 1024  # bound on the largest temporary of one chunk of 
 CONV_BAND_MAX = 84  # conv1d multiplies by one banded matrix per group where n * max(in_ch, out_ch) <= this
 
 
+class _Slot:
+    """What the tape keeps of a tensor: its gradient, whether it takes one, and its shape."""
+
+    __slots__ = ("grad", "requires_grad", "shape")
+
+    def __init__(self, shape: tuple[int, ...], requires_grad: bool = True):
+        self.grad, self.requires_grad, self.shape = None, requires_grad, shape
+
+
 class Tensor:
     """A dense float64 array, optionally tracked for gradients.
 
     ``data`` is always C-contiguous float64. ``grad`` is filled in by
     ``backward`` and holds the same shape as ``data``; a value of None means
-    "no gradient accumulated yet". Operations never mutate their inputs'
-    data arrays.
+    "no gradient accumulated yet". Both live in the gradient ``slot``, all the
+    tape holds of a tensor, which is made when first needed. Operations never
+    mutate their inputs' data arrays.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -53,8 +66,7 @@ class Tensor:
             idx = int(np.flatnonzero(~np.isfinite(np.ravel(arr)))[0])
             raise NumericError(f"non-finite value at flat index {idx} in tensor input")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
+        self._slot = _Slot(arr.shape) if requires_grad else None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
@@ -63,9 +75,19 @@ class Tensor:
         # values can actually be produced.
         t = object.__new__(cls)
         t.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
-        t.requires_grad = requires_grad
-        t.grad = None
+        t._slot = _Slot(arr.shape) if requires_grad else None
         return t
+
+    @property
+    def slot(self) -> _Slot:
+        if self._slot is None:
+            self._slot = _Slot(self.data.shape, False)
+        return self._slot
+
+    requires_grad = property(lambda self: self._slot is not None and self._slot.requires_grad,
+                             lambda self, value: setattr(self.slot, "requires_grad", bool(value)))
+    grad = property(lambda self: None if self._slot is None else self._slot.grad,
+                    lambda self, value: setattr(self.slot, "grad", value))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -87,7 +109,7 @@ class Tensor:
 class _Node:
     __slots__ = ("inputs", "output", "rule")
 
-    def __init__(self, inputs, output, rule):
+    def __init__(self, inputs: tuple[_Slot, ...], output: _Slot, rule):
         self.inputs = inputs
         self.output = output
         self.rule = rule
@@ -119,11 +141,16 @@ class Tape:
 _STACK: list[Tape] = []
 
 
-def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], rule) -> Tensor:
-    track = bool(_STACK) and any(t.requires_grad for t in inputs)
+def _taped(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` records a node: a tape is active and some input takes a gradient."""
+    return bool(_STACK) and any(t.requires_grad for t in inputs)
+
+
+def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], rule) -> Tensor:
+    track = _taped(inputs)
     out = Tensor._wrap(out_data, track)
     if track:
-        _STACK[-1].nodes.append(_Node(inputs, out, rule))
+        _STACK[-1].nodes.append(_Node(tuple([t.slot for t in inputs]), out._slot, rule))
     return out
 
 
@@ -145,11 +172,22 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     ad, bd = a.data, b.data
+    # each operand's gradient reads the other operand: keep only those, no product for a constant operand
+    for_a, for_b = (bd if a.requires_grad else None), (ad if b.requires_grad else None)
 
-    def rule(g):  # no product for a constant operand, such as a dropout mask
-        return (g * bd if a.requires_grad else None), (g * ad if b.requires_grad else None)
+    def rule(g):
+        return (None if for_a is None else g * for_a), (None if for_b is None else g * for_b)
 
     return _emit(ad * bd, (a, b), rule)
+
+
+def masked_scale(x: Tensor, keep: np.ndarray, scale: float) -> Tensor:
+    """(x * keep) * scale for a constant bool mask ``keep`` of x's shape, such as a dropout mask. The rule
+    keeps only ``keep`` and returns (g * keep) * scale; as keep is 0 or 1, both equal a product with the
+    float mask keep * scale bit for bit."""
+    out = x.data * keep
+    out *= scale
+    return _emit(out, (x,), lambda g: (g * keep * scale,))
 
 
 def exp(x: Tensor) -> Tensor:
@@ -164,7 +202,8 @@ def exp(x: Tensor) -> Tensor:
     if not math.isfinite(out.sum()):  # at most e^20 per entry, so only a NaN makes the sum non-finite
         idx = int(np.flatnonzero(~np.isfinite(np.ravel(out)))[0])
         raise NumericError(f"exp produced a non-finite value at flat index {idx}")
-    return _emit(out, (x,), lambda g: (g * out * (np.abs(xd) < EXP_CLAMP),))
+    inside = np.abs(xd) < EXP_CLAMP if _taped((x,)) else None  # only the rule reads the clamp test
+    return _emit(out, (x,), lambda g: (g * out * inside,))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -174,14 +213,15 @@ def tanh(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     xd = x.data
+    nonneg = xd >= 0.0 if _taped((x,)) or not 0.0 <= slope <= 1.0 else None  # x's sign, all the rule reads
     if not 0.0 <= slope <= 1.0:
-        return _emit(np.where(xd >= 0.0, xd, slope * xd), (x,), lambda g: (g * np.where(xd >= 0.0, 1.0, slope),))
+        return _emit(np.where(nonneg, xd, slope * xd), (x,), lambda g: (g * np.where(nonneg, 1.0, slope),))
 
     # for 0 <= slope <= 1 neither direction needs a masked select: max(x, slope*x) is x exactly where
     # x >= 0 (signed zeros included) and slope*x elsewhere, and (x >= 0)*(1 - slope) + slope is exactly
     # 1 or slope, because fl(fl(1 - slope) + slope) = 1 on [0, 1]
     def rule(g):
-        factor = (xd >= 0.0) * (1.0 - slope)
+        factor = nonneg * (1.0 - slope)
         factor += slope
         factor *= g
         return (factor,)
@@ -372,14 +412,13 @@ def slice_time(x: Tensor, start: int, stop: int | None = None, step: int = 1) ->
     """Slice the last axis. The gradient scatters back into zeros."""
     if step < 1:
         raise UsageError(f"slice_time: step must be positive, got {step}")
-    xd = x.data
-    sl = slice(start, stop, step)
-    out = np.ascontiguousarray(xd[..., sl])
+    shape, sl = x.data.shape, slice(start, stop, step)
+    out = np.ascontiguousarray(x.data[..., sl])
     if out.shape[-1] == 0:
-        raise DimensionError(f"slice_time: slice [{start}:{stop}:{step}] of length {xd.shape[-1]} is empty")
+        raise DimensionError(f"slice_time: slice [{start}:{stop}:{step}] of length {shape[-1]} is empty")
 
     def rule(g):
-        gx = np.zeros_like(xd)
+        gx = np.zeros(shape)
         gx[..., sl] = g
         return (gx,)
 
@@ -487,7 +526,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise UsageError(f"backward: loss must be a scalar, got shape {loss.shape}")
     if tape.consumed:
         raise UsageError("backward: this tape was already consumed by an earlier backward; record a new one")
-    if not any(node.output is loss for node in reversed(tape.nodes)):
+    if not any(node.output is loss._slot for node in reversed(tape.nodes)):
         raise UsageError("backward: loss was not produced on this tape")
     tape.consumed = True
     loss.grad = np.ones_like(loss.data)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericError
 from .metrics import MetricReport, compute_metrics
-from .model import INFERENCE_BATCH, ModelConfig, StackedSCINet, build_model, compute_loss
+from .model import INFERENCE_BATCH, ModelConfig, StackedSCINet, compute_loss
 from .data import WindowDataset, batch_iter
 from .tensor import Tape, Tensor, backward
 
@@ -231,7 +231,7 @@ def fit(
     return FitResult(history=history, best_epoch=best_epoch, best_val=best_val, stopped_early=stopped)
 
 
-def _tensor_table(named: list[tuple[str, Tensor]]) -> list[dict]:
+def _tensor_table(named: list[tuple[str, Tensor | np.ndarray]]) -> list[dict]:
     """The manifest's ``tensors`` entries: each parameter's name, shape and byte count, in payload order."""
     return [{"name": name, "shape": list(t.shape), "byte_length": t.size * 8} for name, t in named]
 
@@ -313,26 +313,25 @@ def load_checkpoint(path: str) -> tuple[StackedSCINet, dict]:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint format version {version!r} unsupported; expected {CHECKPOINT_VERSION}")
     try:
-        model = build_model(ModelConfig(**manifest["model_config"]))
+        model = StackedSCINet(ModelConfig(**manifest["model_config"]), _draw=False)  # the payload sets every value
     except (KeyError, TypeError, ConfigError) as e:
         raise CheckpointError(f"checkpoint {path} has an invalid model_config: {e}") from None
-    named = model.named_parameters()
-    stored, table = manifest.get("tensors"), _tensor_table(named)
+    rows = [(name, t.data if row is None else t.data[row]) for tree in model.trees for name, t, row in tree.named_rows]
+    stored, table = manifest.get("tensors"), _tensor_table(rows)
     if stored != table:
         at, (got, want) = next(
             (i, pair) for i, pair in enumerate(zip_longest(stored if isinstance(stored, list) else [], table))
             if pair[0] != pair[1]
         )
         raise CheckpointError(f"checkpoint {path} tensor {at} is {got!r}; the model expects {want!r}")
-    blob = raw[sep + 1:]
-    offset = 0
-    for name, t in named:
-        length = t.size * 8
-        chunk = blob[offset:offset + length]
-        if len(chunk) < length:
-            raise CheckpointError(f"tensor {name!r}: expected {length} bytes, file holds {len(chunk)}")
-        t.data[...] = np.frombuffer(chunk, dtype="<f8").reshape(t.shape)  # in place: a slab row stays a view
-        offset += length
-    if offset != len(blob):
-        raise CheckpointError(f"checkpoint {path} has {len(blob) - offset} trailing bytes")
+    body = len(raw) - sep - 1
+    values = np.frombuffer(raw, dtype="<f8", offset=sep + 1, count=body // 8)  # one view of the whole payload
+    at = 0
+    for name, dest in rows:
+        if 8 * (at + dest.size) > body:
+            raise CheckpointError(f"tensor {name!r}: expected {dest.size * 8} bytes, file holds {body - 8 * at}")
+        dest[...] = values[at:at + dest.size].reshape(dest.shape)  # in place: a slab row stays a view
+        at += dest.size
+    if 8 * at != body:
+        raise CheckpointError(f"checkpoint {path} has {body - 8 * at} trailing bytes")
     return model, manifest

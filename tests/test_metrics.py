@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scinet.errors import ConfigError, DimensionError
+from scinet.errors import ConfigError, DimensionError, NumericError
 from scinet.metrics import (
     PEConfig,
     compute_metrics,
@@ -119,6 +119,30 @@ class TestPermutationEntropy:
         p = counts / counts.sum()
         expected = float(-(p * np.log(p)).sum()) / math.log(2)
         assert value == pytest.approx(expected, abs=1e-12)
+
+    @given(series=st.lists(st.integers(0, 3), min_size=2, max_size=80), order=st.integers(2, 6),
+           lag=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_stable_argsort_codes_bit_for_bit(self, series, order, lag):
+        # small integers make most windows hold ties, which the stable sort breaks by position
+        x = np.array(series, dtype=np.float64)
+        if x.size <= (order - 1) * lag + 1:
+            return
+        n_win = x.size - (order - 1) * lag
+        emb = x[np.arange(n_win)[:, None] + lag * np.arange(order)[None, :]]
+        codes = np.argsort(emb, axis=1, kind="stable") @ (order ** np.arange(order))
+        _, counts = np.unique(codes, return_counts=True)
+        p = counts / counts.sum()
+        expected = float(-(p * np.log(p)).sum()) / math.log(math.factorial(order))
+        assert permutation_entropy(x, PEConfig(order=order, lag=lag)) == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_named(self, bad):
+        # a NaN used to sort last and give a plausible entropy
+        series = np.sin(0.3 * np.arange(200))
+        series[57], series[90] = bad, bad
+        with pytest.raises(NumericError, match="index 57"):
+            permutation_entropy(series, PEConfig(order=3, lag=1))
 
     def test_lag_spaces_the_embedding(self):
         # with lag 2 the series [0,9,1,8,2,7] embeds as (0,1,2)/(9,8,7) runs

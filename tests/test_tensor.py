@@ -1,5 +1,8 @@
 import contextlib
+import importlib.util
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -23,19 +26,21 @@ from scinet.tensor import (
     interleave_time,
     leaky_relu,
     linear,
+    masked_scale,
     mean_all,
     mul,
     relayout,
     slice_time,
     sub,
     sum_all,
+    tanh,
     _adjoint_taps,
     _band_taps,
     _banded,
     _taps,
 )
 from scinet import tensor as tensor_module
-from scinet.model import realign
+from scinet.model import ModelConfig, build_model, compute_loss, realign
 
 
 @st.composite
@@ -467,7 +472,7 @@ class TestTapeAndBackward:
         y = leaf([3.0, 4.0])
         with Tape() as tape:
             loss = sum_all(mul(add(x, y), sub(x, y)))
-        known = {id(x), id(y)}
+        known = {id(x.slot), id(y.slot)}  # nodes hold gradient slots, not tensors
         for node in tape.nodes:
             for inp in node.inputs:
                 assert id(inp) in known
@@ -689,3 +694,110 @@ def test_leaky_relu_is_the_masked_select_bit_for_bit(x, slope):
     assert out.data.tobytes() == np.where(xd >= 0.0, xd, slope * xd).tobytes()
     (gx,) = tape.nodes[-1].rule(g)
     assert gx.tobytes() == (g * np.where(xd >= 0.0, 1.0, slope)).tobytes()
+
+
+def test_masked_scale_is_the_float_mask_product_bit_for_bit():
+    # dropout's (x * keep) * scale and its rule's (g * keep) * scale equal products with the float mask
+    # keep * scale, signed zeros included
+    rng = np.random.default_rng(3)
+    xd, g = rng.normal(size=(4, 50)), rng.normal(size=(4, 50))
+    xd[0, :4], g[1, :4] = [-0.0, 0.0, -1e-300, 1e-300], [-0.0, 0.0, -1e-300, 1e-300]
+    for p in (0.1, 0.5, 0.7):
+        keep = rng.random(xd.shape) >= p
+        with Tape() as tape:
+            out = masked_scale(leaf(xd), keep, 1.0 / (1.0 - p))
+        factor = np.multiply(keep, 1.0 / (1.0 - p))
+        assert out.data.tobytes() == (xd * factor).tobytes()
+        assert tape.nodes[-1].rule(g)[0].tobytes() == (g * factor).tobytes()
+
+
+def _saved_arrays(rule) -> list:
+    """The arrays a backward rule's closure holds, looking through nested closures, tuples and lists, less
+    the cached read-only index arrays that every call shares."""
+    saved, stack = [], [rule]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, np.ndarray):
+            if obj.flags.writeable:
+                saved.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+    return saved
+
+
+_A, _B = np.array([[1.5, -2.0, -0.0, 25.0]]), np.array([[0.5, 3.0, -1.0, -0.25]])
+_KEEP = np.array([[True, False, True, False]])
+# op -> (call on leaves a, b taking gradients and constant c, what its rule may keep): a bool array stands
+# for a mask of that value, any other array for that very array
+RULE_KEEPS = {
+    "add": (lambda a, b, c: add(a, b), lambda a, b, c, out: []),
+    "sub": (lambda a, b, c: sub(a, b), lambda a, b, c, out: []),
+    "mul": (lambda a, b, c: mul(a, b), lambda a, b, c, out: [a.data, b.data]),
+    "mul by a constant": (lambda a, b, c: mul(a, c), lambda a, b, c, out: [c.data]),
+    "mul of a constant": (lambda a, b, c: mul(c, b), lambda a, b, c, out: [c.data]),
+    "exp": (lambda a, b, c: exp(a), lambda a, b, c, out: [out.data, np.abs(a.data) < EXP_CLAMP]),
+    "tanh": (lambda a, b, c: tanh(a), lambda a, b, c, out: [out.data]),
+    "leaky_relu": (lambda a, b, c: leaky_relu(a, 0.01), lambda a, b, c, out: [a.data >= 0.0]),
+    "leaky_relu, slope > 1": (lambda a, b, c: leaky_relu(a, 2.0), lambda a, b, c, out: [a.data >= 0.0]),
+    "masked_scale": (lambda a, b, c: masked_scale(a, _KEEP, 2.0), lambda a, b, c, out: [_KEEP]),
+    "linear": (lambda a, b, c: linear(a, b, leaf([0.0])), lambda a, b, c, out: [a.data, b.data]),
+    "abs_": (lambda a, b, c: abs_(a), lambda a, b, c, out: [a.data]),
+    "slice_time": (lambda a, b, c: slice_time(a, 1, None, 2), lambda a, b, c, out: []),
+    "interleave_time": (lambda a, b, c: interleave_time(a, b), lambda a, b, c, out: []),
+    "concat_time": (lambda a, b, c: concat_time(a, b), lambda a, b, c, out: []),
+    "gather_groups": (lambda a, b, c: gather_groups((a, b), [1, 0]), lambda a, b, c, out: []),
+    "relayout": (lambda a, b, c: relayout(a, (2, 2), (1, 0), (4,)), lambda a, b, c, out: []),
+    "sum_all": (lambda a, b, c: sum_all(a), lambda a, b, c, out: []),
+    "mean_all": (lambda a, b, c: mean_all(a), lambda a, b, c, out: []),
+}
+
+
+@pytest.mark.parametrize("op", RULE_KEEPS)
+def test_rule_keeps_only_the_arrays_its_formula_reads(op):
+    # conv1d's rule is checked in TestConv1d; a sign or a clamp test is kept as a bool mask
+    call, expected = RULE_KEEPS[op]
+    a, b, c = leaf(_A), leaf(_B), leaf(_B, requires_grad=False)
+    with Tape() as tape:
+        out = call(a, b, c)
+    saved, want = _saved_arrays(tape.nodes[-1].rule), expected(a, b, c, out)
+    assert len(saved) == len(want), op
+    for w in want:
+        if w.dtype == bool:
+            assert any(s.dtype == bool and np.array_equal(s, w) for s in saved), op
+        else:
+            assert any(s is w for s in saved), op
+
+
+@pytest.mark.parametrize("op", [name for name in RULE_KEEPS if name not in ("mul", "mul of a constant", "linear", "abs_")])
+def test_intermediate_no_rule_reads_is_freed(op):
+    # the tape holds gradient slots, so once the caller drops h nothing keeps its array alive
+    call, _ = RULE_KEEPS[op]
+    a, b, c = leaf(_A), leaf(_B), leaf(_B, requires_grad=False)
+    with Tape() as tape:
+        h = add(a, b)
+        h_data = weakref.ref(h.data)
+        loss = sum_all(call(h, b, c))
+        del h
+    assert h_data() is None, op
+    backward(loss, tape)
+    assert a.grad is not None and a.grad.shape == _A.shape
+
+
+# the tape counter the A/B scripts share, so this test and scripts/step_ab.py count alike
+_trees_spec = importlib.util.spec_from_file_location("trees", Path(__file__).resolve().parents[1] / "scripts/trees.py")
+trees = importlib.util.module_from_spec(_trees_spec)
+_trees_spec.loader.exec_module(trees)
+
+
+def test_train_narrow_step_tape_holds_at_most_3_5_mb():
+    # a batch-32 training step of train_narrow's model (3 variates, levels 4, stacks 2, look-back 48):
+    # 8.3 MB when nodes held tensors and rules kept float masks and unread operands
+    net = build_model(ModelConfig(look_back=48, horizon=24, n_variates=3, levels=4, stacks=2, dropout=0.5))
+    rng = np.random.default_rng(0)
+    x, y = Tensor(rng.normal(size=(32, 3, 48))), Tensor(rng.normal(size=(32, 3, 24)))
+    with Tape() as tape:
+        total, _ = compute_loss(net.forward(x, training=True, rng=rng), y)
+    assert trees.tape_bytes(tape, net.parameters()) <= 3.5e6
+    backward(total, tape)

@@ -351,6 +351,20 @@ class TestCheckpoint:
         out_b = loaded.forward(x)[-1].data
         assert out_a.tobytes() == out_b.tobytes()
 
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        # the payload sets every value, so the model is built without a generator
+        path = tmp_path / "m.ckpt"
+        model = self.fresh_model()
+        save_checkpoint(path, model)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_checkpoint made a generator to draw weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded, _ = load_checkpoint(path)
+        assert [a.data.tobytes() for _, a in loaded.named_parameters()] == \
+            [a.data.tobytes() for _, a in model.named_parameters()]
+
     def test_config_round_trips(self, tmp_path):
         model = self.fresh_model(sign="sub", weight_share=True)
         path = tmp_path / "m.ckpt"
