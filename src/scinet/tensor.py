@@ -35,7 +35,6 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NumericError, UsageError
 
 EXP_CLAMP = 20.0
-CONV_CHUNK_BYTES = 512 * 1024  # bound on the largest temporary of one chunk of conv1d groups
 CONV_BAND_MAX = 84  # conv1d multiplies by one banded matrix per group where n * max(in_ch, out_ch) <= this
 
 
@@ -84,8 +83,7 @@ class Tensor:
             self._slot = _Slot(self.data.shape, False)
         return self._slot
 
-    requires_grad = property(lambda self: self._slot is not None and self._slot.requires_grad,
-                             lambda self, value: setattr(self.slot, "requires_grad", bool(value)))
+    requires_grad = property(lambda self: self._slot is not None and self._slot.requires_grad)
     grad = property(lambda self: None if self._slot is None else self._slot.grad,
                     lambda self, value: setattr(self.slot, "grad", value))
 
@@ -239,20 +237,12 @@ def _taps(n: int, k: int) -> np.ndarray:
     return index
 
 
-@functools.lru_cache(maxsize=64)
-def _group_chunks(groups: int, per_group: int, limit: int) -> tuple[slice, ...]:
-    """Slices of consecutive groups whose largest temporary, ``per_group`` doubles per group, fits
-    ``limit`` bytes (at least one group per slice)."""
-    step = max(1, limit // (8 * per_group))
-    return tuple(slice(at, at + step) for at in range(0, groups, step))
-
-
 def _cols(x: np.ndarray, k: int) -> np.ndarray:
-    """im2col of x (G, in_ch, n, batch): (G, in_ch*k, n*batch), row c*k + j holding tap j of channel c,
-    x[:, c, clip(t+j-pad, 0, n-1), :], at columns t*batch .. t*batch + batch - 1. One gather along
-    time through the cached tap index, so each copy moves a whole batch row."""
-    groups, in_ch, n, batch = x.shape
-    return np.take(x, _taps(n, k), axis=2, mode="clip").reshape(groups, in_ch * k, n * batch)
+    """im2col of one group's x (in_ch, n, batch): (in_ch*k, n*batch), row c*k + j holding tap j of channel
+    c, x[c, clip(t+j-pad, 0, n-1), :], at columns t*batch .. t*batch + batch - 1. One gather along time
+    through the cached tap index, so each copy moves a whole batch row."""
+    in_ch, n, batch = x.shape
+    return np.take(x, _taps(n, k), axis=1, mode="clip").reshape(in_ch * k, n * batch)
 
 
 @functools.lru_cache(maxsize=64)
@@ -294,19 +284,19 @@ def _adjoint_taps(n: int, k: int) -> np.ndarray:
 
 
 def _extend(g: np.ndarray, pad: int) -> np.ndarray:
-    """g (G, C, n, batch) extended along time to n + 2*pad + 3 samples: g itself, pad+1 slots holding
-    the prefix sums g[0] + ... + g[m], pad+1 holding the suffix sums g[n-1-m] + ... + g[n-1], then one
-    zero sample. Sums reach at most the whole series (m < n); ``_adjoint_taps`` reads no slot past
-    that, so those are left unset. The sums are explicit adds of whole (G, C, batch) slices, which
+    """One group's g (C, n, batch) extended along time to n + 2*pad + 3 samples: g itself, pad+1 slots
+    holding the prefix sums g[0] + ... + g[m], pad+1 holding the suffix sums g[n-1-m] + ... + g[n-1],
+    then one zero sample. Sums reach at most the whole series (m < n); ``_adjoint_taps`` reads no slot
+    past that, so those are left unset. The sums are explicit adds of whole (C, batch) slices, which
     keeps the batch rows contiguous."""
-    n = g.shape[2]
-    ext = np.empty(g.shape[:2] + (n + 2 * pad + 3,) + g.shape[3:])
-    ext[:, :, :n] = g
+    n = g.shape[1]
+    ext = np.empty((g.shape[0], n + 2 * pad + 3) + g.shape[2:])
+    ext[:, :n] = g
     for base, first, step in ((n, 0, 1), (n + pad + 1, n - 1, -1)):
-        ext[:, :, base] = g[:, :, first]
+        ext[:, base] = g[:, first]
         for m in range(1, min(pad, n - 1) + 1):
-            np.add(ext[:, :, base + m - 1], g[:, :, first + step * m], out=ext[:, :, base + m])
-    ext[:, :, -1] = 0.0
+            np.add(ext[:, base + m - 1], g[:, first + step * m], out=ext[:, base + m])
+    ext[:, -1] = 0.0
     return ext
 
 
@@ -319,8 +309,8 @@ def _conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, with_input: boo
     ``_adjoint_taps`` index builds the adjoint im2col of g, gcols (out_ch*k, n*batch), whose row
     o*k + j holds at sample s the sum of g[o, t] over every t whose tap j reads s. Both gradients are
     then one GEMM each with no fold over the taps: the input gradient is w2T (in_ch, out_ch*k) @ gcols
-    and the kernel gradient gcols @ x2T, in (out_ch, k, in_ch) order. Each chunk of groups writes into
-    the preallocated results.
+    and the kernel gradient gcols @ x2T, in (out_ch, k, in_ch) order. Each group writes into the
+    preallocated results.
     """
     (groups, out_ch, in_ch, k), (_, _, n, batch) = wd.shape, xd.shape
     if _banded(n, in_ch, out_ch):
@@ -331,14 +321,13 @@ def _conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, with_input: boo
         gw = np.matmul(per_entry.reshape(groups, out_ch * in_ch, n * n), _band_taps(n, k).T)
         return gx, gw.reshape(wd.shape), g.sum(axis=(2, 3))
     gx, gw = (np.empty_like(xd) if with_input else None), np.empty_like(wd)
-    for at in _group_chunks(groups, batch * n * k * max(in_ch, out_ch), CONV_CHUNK_BYTES):
-        gcols = np.take(_extend(g[at], (k - 1) // 2), _adjoint_taps(n, k), axis=2, mode="clip")
-        gcols = gcols.reshape(-1, out_ch * k, n * batch)
-        per_row = np.matmul(gcols, xd[at].reshape(-1, in_ch, n * batch).transpose(0, 2, 1))
-        gw[at] = per_row.reshape(-1, out_ch, k, in_ch).transpose(0, 1, 3, 2)
+    for at in range(groups):
+        gcols = np.take(_extend(g[at], (k - 1) // 2), _adjoint_taps(n, k), axis=1, mode="clip")
+        gcols = gcols.reshape(out_ch * k, n * batch)
+        per_row = gcols @ xd[at].reshape(in_ch, n * batch).T
+        gw[at] = per_row.reshape(out_ch, k, in_ch).transpose(0, 2, 1)
         if with_input:
-            w2t = wd[at].transpose(0, 2, 1, 3).reshape(-1, in_ch, out_ch * k)
-            np.matmul(w2t, gcols, out=gx[at].reshape(-1, in_ch, n * batch))
+            np.matmul(wd[at].transpose(1, 0, 2).reshape(in_ch, out_ch * k), gcols, out=gx[at].reshape(in_ch, n * batch))
     return gx, gw, g.sum(axis=(2, 3))
 
 
@@ -353,7 +342,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     call's. Short rows fold w and the padding into one banded matrix per group (``_band``): out = band
     @ x.reshape(in_ch*n, batch) + b. Longer rows run im2col: one gather through the cached clamped tap
     index (``_taps``) builds cols (in_ch*k, n*batch) in the row order of w.reshape(out_ch, in_ch*k),
-    so out = w2 @ cols + b, in chunks of groups whose largest temporary stays under CONV_CHUNK_BYTES.
+    so out = w2 @ cols + b, one GEMM per group.
     The backward rule keeps only x's and w's own arrays, so the tape holds no conv1d buffer, and
     builds both gradients on the forward's kernel (``_conv1d_grads``); when x takes no gradient, the
     rule skips its product.
@@ -370,9 +359,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         out = np.matmul(_band(wd, n), xd.reshape(groups, in_ch * n, batch)).reshape(groups, out_ch, n, batch)
     else:
         out = np.empty((groups, out_ch, n, batch))
-        for at in _group_chunks(groups, batch * n * k * max(in_ch, out_ch), CONV_CHUNK_BYTES):
-            w2 = wd[at].reshape(-1, out_ch, in_ch * k)
-            np.matmul(w2, _cols(xd[at], k), out=out[at].reshape(w2.shape[0], out_ch, n * batch))
+        for at in range(groups):
+            np.matmul(wd[at].reshape(out_ch, in_ch * k), _cols(xd[at], k), out=out[at].reshape(out_ch, n * batch))
     out += bd[:, :, None, None]
 
     def rule(g):

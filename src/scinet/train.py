@@ -334,4 +334,12 @@ def load_checkpoint(path: str) -> tuple[StackedSCINet, dict]:
         at += dest.size
     if 8 * at != body:
         raise CheckpointError(f"checkpoint {path} has {body - 8 * at} trailing bytes")
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        for name, dest in rows:  # the tensor holding payload value ``first``
+            if first < dest.size:
+                raise CheckpointError(f"checkpoint {path} tensor {name!r} holds a non-finite value "
+                                      f"at flat index {first}")
+            first -= dest.size
     return model, manifest

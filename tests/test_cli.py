@@ -535,6 +535,26 @@ def test_checkpoint_without_training_extras_exits_1(trained, tmp_path, capsys, c
     assert all(key in captured.err for key in ("norm_mean", "norm_std", "timestamp_column", "split"))
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("command", ["eval", "predict", "pe --checkpoint"])
+def test_checkpoint_holding_a_non_finite_weight_exits_1(trained, tmp_path, capsys, command, value):
+    raw = trained.ckpt.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:-8] + np.array([value], dtype="<f8").tobytes())  # the last value: decoder bias[3]
+    out = tmp_path / "out.txt"
+    argv = {
+        "eval": ["eval", str(bad), str(trained.data), "--out", str(out)],
+        "predict": ["predict", str(bad), str(trained.data), "--emit", str(out)],
+        "pe --checkpoint": ["pe", str(trained.data), "--checkpoint", str(bad), "--order", "3"],
+    }[command]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (f"error: checkpoint {bad} tensor 'stack0/decoder/bias' holds a non-finite value "
+                            "at flat index 3\n")
+
+
 
 def _break_levels(manifest):
     manifest["model_config"]["levels"] = 4  # 2^4 does not divide look_back 8

@@ -86,3 +86,11 @@ def test_dispatch_runs_the_worker_with_its_arguments(monkeypatch):
     monkeypatch.setattr(sys, "argv", ["script.py", "--src", "src"])
     trees.dispatch(lambda *args: calls.append(args), lambda: calls.append("main"))
     assert calls == [("dir",), "main"]
+
+
+def test_ckpt_ab_finds_a_tree_identical_to_itself():
+    # two processes on one tree write the same bytes for every configuration through train, eval, predict and pe
+    done = subprocess.run([sys.executable, str(SCRIPTS / "ckpt_ab.py"), "--src", "src", "--src", "src"],
+                          capture_output=True, text=True, cwd=SCRIPTS.parent)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "98 outputs, 0 differ"
